@@ -195,16 +195,16 @@ pub fn k_consistency_refutes_budgeted(
     }
 }
 
-/// [`k_consistency_refutes`] under any
-/// [`Metering`](cspdb_core::budget::Metering) enforcer: same contract as
+/// [`k_consistency_refutes`] under a
+/// [`Meter`](cspdb_core::budget::Meter): same contract as
 /// [`k_consistency_refutes_budgeted`], but the caller keeps the meter,
 /// so resource usage (and the tracer it carries) stays readable
 /// afterwards.
-pub fn k_consistency_refutes_metered<M: cspdb_core::budget::Metering>(
+pub fn k_consistency_refutes_metered(
     a: &Structure,
     b: &Structure,
     k: usize,
-    meter: &mut M,
+    meter: &mut cspdb_core::budget::Meter,
 ) -> Result<Option<bool>, cspdb_core::budget::ExhaustionReason> {
     if crate::game::spoiler_wins_metered(a, b, k, meter)? {
         Ok(Some(false))

@@ -15,7 +15,7 @@
 //! `O(n^{2k})` bound shows up as the size of the candidate set — this is
 //! what Experiment E5 measures.
 
-use cspdb_core::budget::{Budget, ExhaustionReason, Metering};
+use cspdb_core::budget::{Budget, ExhaustionReason, Meter};
 use cspdb_core::trace::TraceEvent;
 use cspdb_core::{PartialHom, Structure};
 use std::collections::HashMap;
@@ -136,17 +136,17 @@ pub fn largest_winning_strategy_budgeted(
     largest_winning_strategy_metered(a, b, k, &mut budget.meter())
 }
 
-/// [`largest_winning_strategy`] under any [`Metering`] enforcer: same
+/// [`largest_winning_strategy`] under a [`Meter`]: same
 /// contract as [`largest_winning_strategy_budgeted`], but the caller
 /// keeps the meter, so resource usage (and the tracer it carries) stays
 /// readable afterwards. Emits one [`TraceEvent::KConsistency`] per
 /// completed run with the candidate-table and greatest-fixpoint
 /// survivor counts.
-pub fn largest_winning_strategy_metered<M: Metering>(
+pub fn largest_winning_strategy_metered(
     a: &Structure,
     b: &Structure,
     k: usize,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<WinningStrategy, ExhaustionReason> {
     assert!(k >= 1, "the game needs at least one pebble");
     assert_eq!(a.vocabulary(), b.vocabulary(), "vocabulary mismatch");
@@ -264,13 +264,13 @@ pub fn spoiler_wins_budgeted(
     Ok(largest_winning_strategy_budgeted(a, b, k, budget)?.is_empty())
 }
 
-/// [`spoiler_wins`] under any [`Metering`] enforcer; `Err` means the
+/// [`spoiler_wins`] under a [`Meter`]; `Err` means the
 /// game computation ran out of resources (inconclusive either way).
-pub fn spoiler_wins_metered<M: Metering>(
+pub fn spoiler_wins_metered(
     a: &Structure,
     b: &Structure,
     k: usize,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<bool, ExhaustionReason> {
     Ok(largest_winning_strategy_metered(a, b, k, meter)?.is_empty())
 }

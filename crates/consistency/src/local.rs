@@ -7,7 +7,7 @@
 //! instance is strongly k-consistent iff the family of **all** ≤k partial
 //! homomorphisms is a winning strategy for the Duplicator.
 
-use cspdb_core::budget::{Budget, ExhaustionReason, Metering};
+use cspdb_core::budget::{Budget, ExhaustionReason, Meter};
 use cspdb_core::trace::TraceEvent;
 use cspdb_core::{CspInstance, PartialHom, Structure};
 
@@ -100,18 +100,18 @@ pub fn ac3_budgeted(
     ac3_metered(instance, &mut budget.meter())
 }
 
-/// [`ac3`] under any [`Metering`] enforcer: same contract as
+/// [`ac3`] under a [`Meter`]: same contract as
 /// [`ac3_budgeted`], but the caller keeps the meter, so resource usage
 /// (and the tracer it carries) stays readable afterwards. Emits one
 /// [`TraceEvent::Propagation`] per completed run with the revision and
 /// removal counts.
-pub fn ac3_metered<M: Metering>(
+pub fn ac3_metered(
     instance: &CspInstance,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<Option<Vec<Vec<u32>>>, ExhaustionReason> {
     let mut revisions = 0u64;
     let mut removals = 0u64;
-    let emit = |meter: &mut M, revisions: u64, removals: u64, wipeout: bool| {
+    let emit = |meter: &mut Meter, revisions: u64, removals: u64, wipeout: bool| {
         meter.tracer().emit_with(|| TraceEvent::Propagation {
             algorithm: "ac3",
             revisions,

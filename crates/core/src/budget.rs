@@ -17,7 +17,7 @@
 //! if it says `Sat` or `Unsat` that answer agrees with the unbudgeted
 //! ground truth.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,8 +63,9 @@ impl CancelToken {
 
     /// Derives a linked token: cancelling the parent cancels the child,
     /// but cancelling the child leaves the parent (and its other
-    /// children) running. Portfolio racing uses this — the race's
-    /// "winner found" cancellation must not look like a caller abort.
+    /// children) running. The server uses this twice: its shutdown
+    /// token is a child of the caller's, so a shutdown never leaks out,
+    /// and each request's token is a child of the shutdown token.
     pub fn child(&self) -> CancelToken {
         CancelToken {
             flag: Arc::new(AtomicBool::new(false)),
@@ -286,27 +287,6 @@ impl Budget {
             tripped: None,
         }
     }
-
-    /// Starts enforcement shared across threads: the returned
-    /// [`SharedMeter`] draws every clone's steps and tuples from one
-    /// pair of atomic counters, so a parallel algorithm's *total* work
-    /// is bounded, not each worker's.
-    pub fn shared_meter(&self) -> SharedMeter {
-        SharedMeter {
-            inner: Arc::new(SharedMeterState {
-                start: Instant::now(),
-                deadline: self.deadline,
-                step_limit: self.step_limit,
-                tuple_limit: self.tuple_limit,
-                cancel: self.cancel.clone(),
-                trace: self.trace.clone(),
-                faults: self.faults.clone(),
-                steps: AtomicU64::new(0),
-                tuples: AtomicU64::new(0),
-                tripped: AtomicU8::new(TRIP_NONE),
-            }),
-        }
-    }
 }
 
 /// Resources consumed by a (possibly exhausted) run.
@@ -481,246 +461,6 @@ impl Meter {
     }
 }
 
-const TRIP_NONE: u8 = 0;
-
-fn reason_code(reason: ExhaustionReason) -> u8 {
-    match reason {
-        ExhaustionReason::DeadlineExceeded => 1,
-        ExhaustionReason::StepLimitExceeded => 2,
-        ExhaustionReason::TupleLimitExceeded => 3,
-        ExhaustionReason::Cancelled => 4,
-    }
-}
-
-fn decode_reason(code: u8) -> Option<ExhaustionReason> {
-    match code {
-        1 => Some(ExhaustionReason::DeadlineExceeded),
-        2 => Some(ExhaustionReason::StepLimitExceeded),
-        3 => Some(ExhaustionReason::TupleLimitExceeded),
-        4 => Some(ExhaustionReason::Cancelled),
-        _ => None,
-    }
-}
-
-/// [`Meter`]'s thread-shared counterpart: an `Arc`-shared enforcer whose
-/// step and tuple counters are atomics, so any number of worker threads
-/// can charge one budget concurrently. Cloning is cheap (one `Arc`
-/// bump) and every clone observes the same counters and the same
-/// latched trip, which is what makes cancellation propagate: the first
-/// worker to trip (or an external [`CancelToken::cancel`]) stops every
-/// other worker at its next checkpoint.
-///
-/// The fast path is one `fetch_add(Relaxed)`; the clock and the
-/// cancellation flag are read only when the *global* step count crosses
-/// a [`CHECK_INTERVAL`] boundary, so the amortisation contract of
-/// [`Meter`] carries over: a limit is observed within at most
-/// `CHECK_INTERVAL` units of total work across all workers.
-#[derive(Debug, Clone)]
-pub struct SharedMeter {
-    inner: Arc<SharedMeterState>,
-}
-
-#[derive(Debug)]
-struct SharedMeterState {
-    start: Instant,
-    deadline: Option<Duration>,
-    step_limit: Option<u64>,
-    tuple_limit: Option<u64>,
-    cancel: Option<CancelToken>,
-    trace: Tracer,
-    faults: FaultHandle,
-    steps: AtomicU64,
-    tuples: AtomicU64,
-    tripped: AtomicU8,
-}
-
-impl Default for SharedMeter {
-    /// An unlimited shared meter
-    /// (equivalent to `Budget::unlimited().shared_meter()`).
-    fn default() -> Self {
-        Budget::unlimited().shared_meter()
-    }
-}
-
-impl SharedMeter {
-    /// Records one elementary step; errs once the budget is exhausted.
-    /// Safe to call from any number of threads concurrently.
-    #[inline]
-    pub fn tick(&self) -> std::result::Result<(), ExhaustionReason> {
-        if let Some(reason) = self.exhausted() {
-            return Err(reason);
-        }
-        let steps = self.inner.steps.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(limit) = self.inner.step_limit {
-            if steps > limit {
-                return Err(self.trip(ExhaustionReason::StepLimitExceeded));
-            }
-        }
-        if steps & (CHECK_INTERVAL - 1) == 0 {
-            self.checkpoint()
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Records `n` materialised tuples; the tuple-cap check is
-    /// immediate, the deadline/cancellation check amortised (same
-    /// contract as [`Meter::charge_tuples`]).
-    #[inline]
-    pub fn charge_tuples(&self, n: u64) -> std::result::Result<(), ExhaustionReason> {
-        if let Some(reason) = self.exhausted() {
-            return Err(reason);
-        }
-        let before = self
-            .inner
-            .tuples
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| {
-                Some(t.saturating_add(n))
-            })
-            .expect("fetch_update closure never returns None");
-        let after = before.saturating_add(n);
-        if let Some(limit) = self.inner.tuple_limit {
-            if after > limit {
-                return Err(self.trip(ExhaustionReason::TupleLimitExceeded));
-            }
-        }
-        if before / CHECK_INTERVAL != after / CHECK_INTERVAL {
-            self.checkpoint()
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Forces the expensive checks (clock, cancellation) right now.
-    pub fn checkpoint(&self) -> std::result::Result<(), ExhaustionReason> {
-        if let Some(reason) = self.exhausted() {
-            return Err(reason);
-        }
-        self.inner.faults.maybe_slow_down();
-        if let Some(token) = &self.inner.cancel {
-            if token.is_cancelled() {
-                return Err(self.trip(ExhaustionReason::Cancelled));
-            }
-        }
-        if let Some(deadline) = self.inner.deadline {
-            if self.inner.start.elapsed() >= deadline {
-                return Err(self.trip(ExhaustionReason::DeadlineExceeded));
-            }
-        }
-        Ok(())
-    }
-
-    /// Latches `reason`; the first trip wins and every clone observes it.
-    fn trip(&self, reason: ExhaustionReason) -> ExhaustionReason {
-        match self.inner.tripped.compare_exchange(
-            TRIP_NONE,
-            reason_code(reason),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => reason,
-            Err(prior) => decode_reason(prior).expect("latched code decodes"),
-        }
-    }
-
-    /// The latched exhaustion reason, if any limit has tripped.
-    pub fn exhausted(&self) -> Option<ExhaustionReason> {
-        decode_reason(self.inner.tripped.load(Ordering::Relaxed))
-    }
-
-    /// The tracer carried from the originating [`Budget`]; shared by
-    /// every clone, so parallel workers emit to one sink.
-    #[inline]
-    pub fn tracer(&self) -> &Tracer {
-        &self.inner.trace
-    }
-
-    /// Resources consumed so far, totalled across every clone.
-    pub fn usage(&self) -> ResourceUsage {
-        ResourceUsage {
-            steps: self.inner.steps.load(Ordering::Relaxed),
-            tuples: self.inner.tuples.load(Ordering::Relaxed),
-            elapsed: self.inner.start.elapsed(),
-        }
-    }
-}
-
-/// The metering operations shared by [`Meter`] (single-threaded, plain
-/// counters) and [`SharedMeter`] (thread-shared, atomic counters).
-///
-/// Algorithms generic over `M: Metering` run unchanged sequentially or
-/// inside a parallel worker; the parallel caller hands each worker a
-/// clone of one `SharedMeter` so the *combined* work stays within one
-/// budget.
-pub trait Metering {
-    /// Records one elementary step; errs once the budget is exhausted.
-    fn tick(&mut self) -> std::result::Result<(), ExhaustionReason>;
-    /// Records `n` materialised tuples.
-    fn charge_tuples(&mut self, n: u64) -> std::result::Result<(), ExhaustionReason>;
-    /// Forces the expensive checks (clock, cancellation) right now.
-    fn checkpoint(&mut self) -> std::result::Result<(), ExhaustionReason>;
-    /// Resources consumed so far.
-    fn usage(&self) -> ResourceUsage;
-    /// The latched exhaustion reason, if any limit has tripped.
-    fn exhausted(&self) -> Option<ExhaustionReason>;
-    /// The telemetry handle carried alongside the meter; disabled
-    /// (a single-branch no-op) unless the originating [`Budget`] had a
-    /// sink attached via [`Budget::with_trace`].
-    fn tracer(&self) -> &Tracer;
-}
-
-impl Metering for Meter {
-    fn tick(&mut self) -> std::result::Result<(), ExhaustionReason> {
-        Meter::tick(self)
-    }
-
-    fn charge_tuples(&mut self, n: u64) -> std::result::Result<(), ExhaustionReason> {
-        Meter::charge_tuples(self, n)
-    }
-
-    fn checkpoint(&mut self) -> std::result::Result<(), ExhaustionReason> {
-        Meter::checkpoint(self)
-    }
-
-    fn usage(&self) -> ResourceUsage {
-        Meter::usage(self)
-    }
-
-    fn exhausted(&self) -> Option<ExhaustionReason> {
-        Meter::exhausted(self)
-    }
-
-    fn tracer(&self) -> &Tracer {
-        Meter::tracer(self)
-    }
-}
-
-impl Metering for SharedMeter {
-    fn tick(&mut self) -> std::result::Result<(), ExhaustionReason> {
-        SharedMeter::tick(self)
-    }
-
-    fn charge_tuples(&mut self, n: u64) -> std::result::Result<(), ExhaustionReason> {
-        SharedMeter::charge_tuples(self, n)
-    }
-
-    fn checkpoint(&mut self) -> std::result::Result<(), ExhaustionReason> {
-        SharedMeter::checkpoint(self)
-    }
-
-    fn usage(&self) -> ResourceUsage {
-        SharedMeter::usage(self)
-    }
-
-    fn exhausted(&self) -> Option<ExhaustionReason> {
-        SharedMeter::exhausted(self)
-    }
-
-    fn tracer(&self) -> &Tracer {
-        SharedMeter::tracer(self)
-    }
-}
-
 /// Three-valued outcome of a budgeted decision procedure.
 ///
 /// The invariant every budgeted entry point upholds: `Sat`/`Unsat` are
@@ -812,6 +552,15 @@ mod tests {
         // Latched: every later call fails instantly.
         assert_eq!(m.tick(), Err(ExhaustionReason::StepLimitExceeded));
         assert_eq!(m.charge_tuples(1), Err(ExhaustionReason::StepLimitExceeded));
+        // The first trip wins: a later tuple-cap violation still reports
+        // the latched step limit.
+        let mut m = Budget::new().with_step_limit(1).with_tuple_limit(1).meter();
+        m.tick().unwrap();
+        assert_eq!(m.tick(), Err(ExhaustionReason::StepLimitExceeded));
+        assert_eq!(
+            m.charge_tuples(100),
+            Err(ExhaustionReason::StepLimitExceeded)
+        );
     }
 
     #[test]
@@ -850,6 +599,23 @@ mod tests {
         assert!(token.is_cancelled());
         assert_eq!(m.checkpoint(), Err(ExhaustionReason::Cancelled));
         assert_eq!(m.tick(), Err(ExhaustionReason::Cancelled));
+        // Through `tick` alone, cancellation is observed within one
+        // amortised checkpoint window, not "eventually".
+        let token = CancelToken::new();
+        let mut m = Budget::new().with_cancel(token.clone()).meter();
+        for _ in 0..CHECK_INTERVAL {
+            m.tick().unwrap();
+        }
+        token.cancel();
+        let mut survived = 0u64;
+        let reason = loop {
+            match m.tick() {
+                Ok(()) => survived += 1,
+                Err(reason) => break reason,
+            }
+            assert!(survived <= CHECK_INTERVAL, "{survived} ticks after cancel");
+        };
+        assert_eq!(reason, ExhaustionReason::Cancelled);
     }
 
     #[test]
@@ -989,140 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_meter_counts_across_threads() {
-        let m = Budget::unlimited().shared_meter();
-        thread::scope(|s| {
-            for _ in 0..4 {
-                let m = m.clone();
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        m.tick().unwrap();
-                        m.charge_tuples(2).unwrap();
-                    }
-                });
-            }
-        });
-        let u = m.usage();
-        assert_eq!(u.steps, 4000);
-        assert_eq!(u.tuples, 8000);
-        assert_eq!(m.exhausted(), None);
-    }
-
-    #[test]
-    fn shared_meter_step_limit_is_global() {
-        // Four workers share a 2000-step budget: the limit bounds their
-        // *sum*, and every worker observes the latched trip.
-        let m = Budget::new().with_step_limit(2000).shared_meter();
-        let mut reasons = Vec::new();
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let m = m.clone();
-                    s.spawn(move || {
-                        for _ in 0..1000 {
-                            if let Err(r) = m.tick() {
-                                return Some(r);
-                            }
-                        }
-                        None
-                    })
-                })
-                .collect();
-            for h in handles {
-                reasons.push(h.join().unwrap());
-            }
-        });
-        let tripped = reasons.iter().filter(|r| r.is_some()).count();
-        assert!(tripped >= 2, "at least half the workers must trip");
-        for r in reasons.into_iter().flatten() {
-            assert_eq!(r, ExhaustionReason::StepLimitExceeded);
-        }
-        assert_eq!(m.exhausted(), Some(ExhaustionReason::StepLimitExceeded));
-        assert!(m.usage().steps <= 2000 + 4, "overshoot bounded by workers");
-    }
-
-    #[test]
-    fn shared_meter_first_trip_wins() {
-        let m = Budget::new()
-            .with_step_limit(1)
-            .with_tuple_limit(1)
-            .shared_meter();
-        m.tick().unwrap();
-        assert_eq!(m.tick(), Err(ExhaustionReason::StepLimitExceeded));
-        // A later, different violation reports the latched reason.
-        assert_eq!(
-            m.charge_tuples(100),
-            Err(ExhaustionReason::StepLimitExceeded)
-        );
-    }
-
-    #[test]
-    fn shared_meter_cancellation_stops_workers_promptly() {
-        // Bounded-latency cancellation: once the token fires, every
-        // worker unwinds within one CHECK_INTERVAL of further ticks.
-        let token = CancelToken::new();
-        let m = Budget::new().with_cancel(token.clone()).shared_meter();
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..3)
-                .map(|_| {
-                    let m = m.clone();
-                    s.spawn(move || {
-                        let mut ticks_after_latch = 0u64;
-                        loop {
-                            match m.tick() {
-                                Err(r) => return (r, ticks_after_latch),
-                                Ok(()) if m.exhausted().is_some() => ticks_after_latch += 1,
-                                Ok(()) => {}
-                            }
-                        }
-                    })
-                })
-                .collect();
-            token.cancel();
-            for h in handles {
-                let (reason, after_latch) = h.join().unwrap();
-                assert_eq!(reason, ExhaustionReason::Cancelled);
-                // A tick may pass its entry check concurrently with the
-                // latch, but the very next call must fail.
-                assert!(after_latch <= 1, "latched trip must fail the next call");
-            }
-        });
-    }
-
-    #[test]
-    fn shared_meter_deadline_trips() {
-        let m = Budget::new()
-            .with_deadline(Duration::from_millis(1))
-            .shared_meter();
-        thread::sleep(Duration::from_millis(3));
-        let mut tripped = false;
-        for _ in 0..=CHECK_INTERVAL {
-            if m.tick() == Err(ExhaustionReason::DeadlineExceeded) {
-                tripped = true;
-                break;
-            }
-        }
-        assert!(tripped);
-    }
-
-    #[test]
-    fn metering_trait_unifies_both_meters() {
-        fn burn<M: Metering>(meter: &mut M) -> std::result::Result<u64, ExhaustionReason> {
-            for _ in 0..10 {
-                meter.tick()?;
-                meter.charge_tuples(1)?;
-            }
-            Ok(meter.usage().steps)
-        }
-        let mut plain = Budget::unlimited().meter();
-        let mut shared = Budget::unlimited().shared_meter();
-        assert_eq!(burn(&mut plain), Ok(10));
-        assert_eq!(burn(&mut shared), Ok(10));
-        let mut capped = Budget::new().with_step_limit(5).shared_meter();
-        assert_eq!(burn(&mut capped), Err(ExhaustionReason::StepLimitExceeded));
-    }
-
-    #[test]
     fn faults_ride_the_budget_like_the_tracer() {
         use crate::faults::{FaultPlan, FaultSite};
         let b = Budget::new().with_faults(
@@ -1152,17 +784,13 @@ mod tests {
         let plan = FaultPlan::none()
             .with_period(FaultSite::SlowDown, 1)
             .with_slow_down(Duration::from_millis(5));
-        let mut m = Budget::new().with_faults(plan.clone()).meter();
+        let mut m = Budget::new().with_faults(plan).meter();
         let t = Instant::now();
         m.checkpoint().unwrap();
         assert!(
             t.elapsed() >= Duration::from_millis(5),
             "checkpoint must observe the injected stall"
         );
-        let shared = Budget::new().with_faults(plan).shared_meter();
-        let t = Instant::now();
-        shared.checkpoint().unwrap();
-        assert!(t.elapsed() >= Duration::from_millis(5));
     }
 
     #[test]

@@ -40,9 +40,7 @@ pub mod sum;
 pub mod trace;
 mod vocabulary;
 
-pub use budget::{
-    Answer, Budget, CancelToken, ExhaustionReason, Meter, Metering, ResourceUsage, SharedMeter,
-};
+pub use budget::{Answer, Budget, CancelToken, ExhaustionReason, Meter, ResourceUsage};
 pub use csp::{is_coherent, make_coherent, Constraint, CspInstance};
 pub use error::{CoreError, Result};
 pub use faults::{silence_injected_panics, FaultHandle, FaultInjector, FaultPlan, FaultSite};
@@ -50,6 +48,7 @@ pub use homomorphism::{compose, is_homomorphism, PartialHom};
 pub use relation::Relation;
 pub use structure::Structure;
 pub use trace::{
-    Fanout, JsonLinesSink, NullSink, OperatorKind, Recorder, TraceEvent, TraceSink, Tracer,
+    json_escape, Fanout, JsonLinesSink, NullSink, OperatorKind, Recorder, TraceEvent, TraceSink,
+    Tracer,
 };
 pub use vocabulary::{RelId, Vocabulary, VocabularyBuilder};

@@ -6,8 +6,8 @@
 //! tier won, how many rows each join operator produced, how fast the
 //! Datalog deltas shrank, where the budget was spent when a run
 //! exhausts. Algorithms emit [`TraceEvent`]s through the [`Tracer`]
-//! reachable from any [`crate::budget::Metering`] implementation; the
-//! events flow to a [`TraceSink`]:
+//! every [`crate::budget::Meter`] carries; the events flow to a
+//! [`TraceSink`]:
 //!
 //! * [`NullSink`] — swallows everything (for overhead measurements);
 //! * [`Recorder`] — buffers events in memory (powers `EXPLAIN`);
@@ -30,10 +30,8 @@ use crate::budget::ExhaustionReason;
 /// Which relational operator produced an [`TraceEvent::Operator`] event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperatorKind {
-    /// Sequential hash join of two named relations.
+    /// Hash join of two named relations.
     HashJoin,
-    /// One partition of a partitioned parallel hash join.
-    ParallelHashJoin,
     /// Semijoin (left rows filtered by join-compatibility with right).
     Semijoin,
     /// Worst-case-optimal multiway join (leapfrog intersection over
@@ -46,7 +44,6 @@ impl OperatorKind {
     pub fn name(self) -> &'static str {
         match self {
             OperatorKind::HashJoin => "hash_join",
-            OperatorKind::ParallelHashJoin => "parallel_hash_join",
             OperatorKind::Semijoin => "semijoin",
             OperatorKind::MultiwayJoin => "multiway_join",
         }
@@ -67,12 +64,12 @@ impl fmt::Display for OperatorKind {
 /// [`TraceEvent::to_json`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// A governed-ladder tier (or portfolio racer) is about to run.
+    /// A governed-ladder tier is about to run.
     TierStart {
         /// Strategy name (`"yannakakis"`, `"treewidth"`, ...).
         strategy: &'static str,
     },
-    /// A governed-ladder tier (or portfolio racer) finished.
+    /// A governed-ladder tier finished.
     TierEnd {
         /// Strategy name.
         strategy: &'static str,
@@ -85,19 +82,6 @@ pub enum TraceEvent {
         steps: u64,
         /// Meter tuples the tier charged.
         tuples: u64,
-    },
-    /// A portfolio race was decided by this strategy.
-    RaceWinner {
-        /// The winning racer's strategy name.
-        strategy: &'static str,
-    },
-    /// A portfolio racer lost and was cancelled (or exhausted on its own).
-    RaceLoser {
-        /// The losing racer's strategy name.
-        strategy: &'static str,
-        /// Why it stopped (`"cancelled: winner found"`, an exhaustion
-        /// reason, or `"inconclusive"`).
-        cause: String,
     },
     /// A phase ran out of budget.
     Exhausted {
@@ -397,8 +381,11 @@ pub enum TraceEvent {
     },
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for embedding in a JSON string literal: `"`, `\` and
+/// the control characters become escapes, everything else passes
+/// through. The one escaper of the workspace: trace events, `EXPLAIN`
+/// JSON and the service protocol all write strings through it.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -421,8 +408,6 @@ impl TraceEvent {
         match self {
             TraceEvent::TierStart { .. } => "tier_start",
             TraceEvent::TierEnd { .. } => "tier_end",
-            TraceEvent::RaceWinner { .. } => "race_winner",
-            TraceEvent::RaceLoser { .. } => "race_loser",
             TraceEvent::Exhausted { .. } => "exhausted",
             TraceEvent::Search { .. } => "search",
             TraceEvent::Propagation { .. } => "propagation",
@@ -478,16 +463,6 @@ impl TraceEvent {
                     ",\"strategy\":\"{}\",\"outcome\":\"{}\",\"micros\":{micros},\"steps\":{steps},\"tuples\":{tuples}",
                     json_escape(strategy),
                     json_escape(outcome)
-                ));
-            }
-            TraceEvent::RaceWinner { strategy } => {
-                s.push_str(&format!(",\"strategy\":\"{}\"", json_escape(strategy)));
-            }
-            TraceEvent::RaceLoser { strategy, cause } => {
-                s.push_str(&format!(
-                    ",\"strategy\":\"{}\",\"cause\":\"{}\"",
-                    json_escape(strategy),
-                    json_escape(cause)
                 ));
             }
             TraceEvent::Exhausted { phase, reason } => {
@@ -755,9 +730,9 @@ impl TraceEvent {
 
 /// Destination for [`TraceEvent`]s.
 ///
-/// Sinks must be shareable across the worker threads of a parallel
-/// solve (events may arrive concurrently), hence the `Send + Sync`
-/// bound and the `&self` receiver.
+/// Sinks must be shareable across the server's worker threads (events
+/// may arrive concurrently), hence the `Send + Sync` bound and the
+/// `&self` receiver.
 pub trait TraceSink: Send + Sync {
     /// Receives one event. May be called from multiple threads.
     fn record(&self, event: &TraceEvent);
@@ -1001,13 +976,14 @@ mod tests {
         t.emit_with(|| TraceEvent::TierStart {
             strategy: "yannakakis",
         });
-        t.emit_with(|| TraceEvent::RaceWinner {
-            strategy: "treewidth",
+        t.emit_with(|| TraceEvent::Exhausted {
+            phase: "treewidth",
+            reason: ExhaustionReason::Cancelled,
         });
         let events = rec.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].kind(), "tier_start");
-        assert_eq!(events[1].kind(), "race_winner");
+        assert_eq!(events[1].kind(), "exhausted");
         assert_eq!(rec.take().len(), 2);
         assert!(rec.is_empty());
     }
@@ -1038,9 +1014,12 @@ mod tests {
     #[test]
     fn json_escaping_handles_specials() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        let ev = TraceEvent::RaceLoser {
+        let ev = TraceEvent::TierEnd {
             strategy: "backtracking",
-            cause: "cancelled: \"winner\"".into(),
+            outcome: "skipped: \"winner\"".into(),
+            micros: 0,
+            steps: 0,
+            tuples: 0,
         };
         let json = ev.to_json();
         assert!(json.contains("\\\"winner\\\""));
@@ -1056,11 +1035,6 @@ mod tests {
                 micros: 1,
                 steps: 2,
                 tuples: 3,
-            },
-            TraceEvent::RaceWinner { strategy: "s" },
-            TraceEvent::RaceLoser {
-                strategy: "s",
-                cause: "c".into(),
             },
             TraceEvent::Exhausted {
                 phase: "p",

@@ -22,7 +22,7 @@
 
 use crate::facade::GovernedReport;
 use cspdb_core::budget::Answer;
-use cspdb_core::trace::{OperatorKind, TraceEvent};
+use cspdb_core::trace::{json_escape, OperatorKind, TraceEvent};
 use std::fmt::Write as _;
 
 /// Renders the join-planner section of an EXPLAIN report: for every
@@ -133,24 +133,6 @@ pub struct ExplainReport {
     pub events: Vec<TraceEvent>,
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl ExplainReport {
     /// Pairs a report with the events a
     /// [`Recorder`](cspdb_core::trace::Recorder) captured for it.
@@ -197,20 +179,6 @@ impl ExplainReport {
                 phase.micros,
                 phase.steps,
                 phase.tuples,
-            );
-        }
-        // Phases beyond the attempts (e.g. the aggregate "portfolio" row).
-        for phase in self
-            .report
-            .trace
-            .phases
-            .iter()
-            .skip(self.report.attempts.len())
-        {
-            let _ = writeln!(
-                out,
-                "  {:<16} {:<40} {:>8} µs {:>10} steps {:>10} tuples",
-                phase.phase, "(aggregate)", phase.micros, phase.steps, phase.tuples,
             );
         }
         if let Some(plan) = render_join_plan(&self.events) {
@@ -260,13 +228,13 @@ impl ExplainReport {
         }
         match &self.report.strategy {
             Some(s) => {
-                let _ = write!(out, ",\"strategy\":\"{}\"", esc(&s.to_string()));
+                let _ = write!(out, ",\"strategy\":\"{}\"", json_escape(&s.to_string()));
             }
             None => out.push_str(",\"strategy\":null"),
         }
         match reason {
             Some(r) => {
-                let _ = write!(out, ",\"exhaustion_reason\":\"{}\"", esc(&r));
+                let _ = write!(out, ",\"exhaustion_reason\":\"{}\"", json_escape(&r));
             }
             None => out.push_str(",\"exhaustion_reason\":null"),
         }
@@ -278,8 +246,8 @@ impl ExplainReport {
             let _ = write!(
                 out,
                 "{{\"strategy\":\"{}\",\"outcome\":\"{}\"}}",
-                esc(&attempt.strategy.to_string()),
-                esc(&attempt.outcome.label()),
+                json_escape(&attempt.strategy.to_string()),
+                json_escape(&attempt.outcome.label()),
             );
         }
         out.push_str("],\"phases\":[");
@@ -290,7 +258,7 @@ impl ExplainReport {
             let _ = write!(
                 out,
                 "{{\"phase\":\"{}\",\"micros\":{},\"steps\":{},\"tuples\":{}}}",
-                esc(&phase.phase),
+                json_escape(&phase.phase),
                 phase.micros,
                 phase.steps,
                 phase.tuples,

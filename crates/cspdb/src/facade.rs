@@ -1,7 +1,6 @@
 //! The unified [`Solver`] facade and the governed dispatch machinery.
 //!
-//! One builder covers every solving mode — plain, budget-governed, and
-//! the parallel portfolio race:
+//! One builder covers every solving mode — plain and budget-governed:
 //!
 //! ```
 //! use cspdb::{Solver, SolveStrategy};
@@ -19,11 +18,10 @@
 //! [`TraceEvent`]s from every phase of the run, and read the per-phase
 //! wall-time/step/tuple summary from [`GovernedReport::trace`].
 
-use cspdb_core::budget::{Answer, Budget, CancelToken, ExhaustionReason, Metering, ResourceUsage};
+use cspdb_core::budget::{Answer, Budget, ExhaustionReason, Meter, ResourceUsage};
 use cspdb_core::trace::{TraceEvent, TraceSink, Tracer};
 use cspdb_core::{CspInstance, Structure};
 use cspdb_solver::BudgetedRun;
-use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -82,7 +80,7 @@ pub struct SolveReport {
     pub witness: Option<Vec<u32>>,
 }
 
-/// How one tier of the governed ladder (or one portfolio racer) ended.
+/// How one tier of the governed ladder ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TierOutcome {
     /// The tier produced the final answer.
@@ -119,11 +117,6 @@ pub struct TierAttempt {
 }
 
 /// Wall time and meter counters one phase of a governed run consumed.
-///
-/// Under portfolio racing all racers draw on one shared meter, so step
-/// and tuple counts are unattributable per racer: racer phases report
-/// zero counters and an aggregate `"portfolio"` phase carries the
-/// totals.
 #[derive(Debug, Clone)]
 pub struct PhaseTrace {
     /// Display name of the phase (e.g. `"treewidth(2)"`).
@@ -269,10 +262,6 @@ pub enum SolveStrategy {
     /// fallbacks, each under a budget slice (the default).
     #[default]
     Ladder,
-    /// The applicable structural strategies race on [`rayon`] workers
-    /// under one thread-shared meter; first sound answer wins and
-    /// cancels the rest.
-    Portfolio,
 }
 
 /// Builder facade over every solving mode of the workspace.
@@ -307,7 +296,6 @@ pub enum SolveStrategy {
 pub struct Solver {
     budget: Budget,
     strategy: SolveStrategy,
-    parallel: bool,
     sink: Option<Arc<dyn TraceSink>>,
 }
 
@@ -316,7 +304,6 @@ impl std::fmt::Debug for Solver {
         f.debug_struct("Solver")
             .field("budget", &self.budget)
             .field("strategy", &self.strategy)
-            .field("parallel", &self.parallel)
             .field("trace", &self.sink.is_some())
             .finish()
     }
@@ -330,12 +317,11 @@ impl Default for Solver {
 
 impl Solver {
     /// A solver with an unlimited budget, the [`SolveStrategy::Ladder`]
-    /// dispatch, sequential tier execution, and no trace sink.
+    /// dispatch, and no trace sink.
     pub fn new() -> Self {
         Solver {
             budget: Budget::unlimited(),
             strategy: SolveStrategy::default(),
-            parallel: false,
             sink: None,
         }
     }
@@ -349,15 +335,6 @@ impl Solver {
     /// Selects the dispatch [`SolveStrategy`].
     pub fn strategy(mut self, strategy: SolveStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Runs ladder tiers (and the direct solve) on their parallel,
-    /// thread-shared-meter implementations instead of the sequential
-    /// ones. [`SolveStrategy::Portfolio`] always races in parallel,
-    /// regardless of this flag.
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -388,9 +365,8 @@ impl Solver {
             None => self.budget.clone(),
         };
         match self.strategy {
-            SolveStrategy::Direct => run_direct(instance, &budget, self.parallel),
-            SolveStrategy::Ladder => run_ladder(instance, &budget, self.parallel),
-            SolveStrategy::Portfolio => run_portfolio(instance, &budget),
+            SolveStrategy::Direct => run_direct(instance, &budget),
+            SolveStrategy::Ladder => run_ladder(instance, &budget),
         }
     }
 }
@@ -495,8 +471,8 @@ fn micros_since(start: Instant) -> u64 {
     start.elapsed().as_micros() as u64
 }
 
-/// Tier 1 of both the ladder and the portfolio: Schaefer's polynomial
-/// solvers run inline (they are low-order polynomial and complete).
+/// Tier 1 of the ladder: Schaefer's polynomial solvers run inline (they
+/// are low-order polynomial and complete).
 /// `Some` when the template was Boolean and in a Schaefer class.
 fn schaefer_tier(
     d: &Dispatch,
@@ -530,8 +506,7 @@ fn schaefer_tier(
     }
 }
 
-/// Sound-refutation consistency fallbacks (ladder tiers 5a/5b), shared
-/// verbatim by the sequential ladder and the portfolio's post-race path.
+/// Sound-refutation consistency fallbacks (ladder tiers 5a/5b).
 fn consistency_fallbacks(
     mut d: Dispatch,
     instance: &CspInstance,
@@ -613,14 +588,10 @@ fn consistency_fallbacks(
 }
 
 /// [`SolveStrategy::Direct`]: MAC backtracking with no dispatch.
-fn run_direct(instance: &CspInstance, budget: &Budget, parallel: bool) -> GovernedReport {
+fn run_direct(instance: &CspInstance, budget: &Budget) -> GovernedReport {
     let mut d = Dispatch::new(budget);
     let start = d.begin("backtracking");
-    let run = if parallel {
-        cspdb_solver::solve_csp_shared(instance, &budget.shared_meter())
-    } else {
-        cspdb_solver::solve_csp_metered(instance, budget.meter())
-    };
+    let run = cspdb_solver::solve_csp_metered(instance, budget.meter());
     let usage = run.usage;
     match run.answer {
         Answer::Unknown(r) => {
@@ -654,7 +625,7 @@ fn run_direct(instance: &CspInstance, budget: &Budget, parallel: bool) -> Govern
 /// Every decided answer agrees with the unbudgeted ground truth; if all
 /// tiers exhaust, the answer is `Unknown` carrying the last tier's
 /// exhaustion reason and the trace of every attempt.
-fn run_ladder(instance: &CspInstance, budget: &Budget, parallel: bool) -> GovernedReport {
+fn run_ladder(instance: &CspInstance, budget: &Budget) -> GovernedReport {
     let mut d = Dispatch::new(budget);
 
     // 1. Schaefer.
@@ -666,15 +637,9 @@ fn run_ladder(instance: &CspInstance, budget: &Budget, parallel: bool) -> Govern
     if cspdb_relalg::is_acyclic_instance(instance) {
         let slice = budget.slice(1, 4);
         let start = d.begin("yannakakis");
-        let (result, usage) = if parallel {
-            let meter = slice.shared_meter();
-            let r = cspdb_relalg::solve_acyclic_shared(instance, &meter);
-            (r, meter.usage())
-        } else {
-            let mut meter = slice.meter();
-            let r = cspdb_relalg::solve_acyclic_metered(instance, &mut meter);
-            (r, meter.usage())
-        };
+        let mut meter = slice.meter();
+        let result = cspdb_relalg::solve_acyclic_metered(instance, &mut meter);
+        let usage = meter.usage();
         match result {
             Ok(witness) => {
                 return d.decided(
@@ -711,42 +676,22 @@ fn run_ladder(instance: &CspInstance, budget: &Budget, parallel: bool) -> Govern
         let slice = budget.slice(1, 4);
         let g = cspdb_decomp::Graph::gaifman(&a);
         let start = d.begin("treewidth");
-        if parallel {
-            let meter = slice.shared_meter();
-            match treewidth_tier(&a, &b, &g, parallel, &mut meter.clone(), Some(&meter)) {
-                TreewidthTier::Decided(width, witness) => {
-                    return d.decided(
-                        answer_of(witness),
-                        Strategy::Treewidth(width),
-                        micros_since(start),
-                        meter.usage(),
-                    )
-                }
-                TreewidthTier::Other(width, outcome) => d.finish(
+        let mut meter = slice.meter();
+        match treewidth_tier(&a, &b, &g, &mut meter) {
+            TreewidthTier::Decided(width, witness) => {
+                return d.decided(
+                    answer_of(witness),
                     Strategy::Treewidth(width),
-                    outcome,
                     micros_since(start),
                     meter.usage(),
-                ),
+                )
             }
-        } else {
-            let mut meter = slice.meter();
-            match treewidth_tier(&a, &b, &g, parallel, &mut meter, None) {
-                TreewidthTier::Decided(width, witness) => {
-                    return d.decided(
-                        answer_of(witness),
-                        Strategy::Treewidth(width),
-                        micros_since(start),
-                        meter.usage(),
-                    )
-                }
-                TreewidthTier::Other(width, outcome) => d.finish(
-                    Strategy::Treewidth(width),
-                    outcome,
-                    micros_since(start),
-                    meter.usage(),
-                ),
-            }
+            TreewidthTier::Other(width, outcome) => d.finish(
+                Strategy::Treewidth(width),
+                outcome,
+                micros_since(start),
+                meter.usage(),
+            ),
         }
     }
 
@@ -755,11 +700,7 @@ fn run_ladder(instance: &CspInstance, budget: &Budget, parallel: bool) -> Govern
     {
         let slice = budget.slice(1, 4);
         let start = d.begin("backtracking");
-        let run = if parallel {
-            cspdb_solver::solve_csp_shared(instance, &slice.shared_meter())
-        } else {
-            cspdb_solver::solve_csp_metered(instance, slice.meter())
-        };
+        let run = cspdb_solver::solve_csp_metered(instance, slice.meter());
         let usage = run.usage;
         match run.answer {
             Answer::Unknown(r) => d.finish(
@@ -785,17 +726,13 @@ enum TreewidthTier {
 }
 
 /// Runs min-fill planning, the cutoff check, and the decomposition DP on
-/// one meter. `shared` selects the level-parallel DP (the planning pass
-/// charges `meter` either way).
-fn treewidth_tier<M: Metering>(
+/// one meter.
+fn treewidth_tier(
     a: &Structure,
     b: &Structure,
     g: &cspdb_decomp::Graph,
-    parallel: bool,
-    meter: &mut M,
-    shared: Option<&cspdb_core::budget::SharedMeter>,
+    meter: &mut Meter,
 ) -> TreewidthTier {
-    debug_assert_eq!(parallel, shared.is_some());
     let order = match cspdb_decomp::min_fill_order_metered(g, meter) {
         Ok(order) => order,
         Err(r) => {
@@ -812,11 +749,7 @@ fn treewidth_tier<M: Metering>(
         );
     }
     let td = cspdb_decomp::from_elimination_order(g, &order);
-    let result = match shared {
-        Some(shared) => cspdb_decomp::solve_with_decomposition_shared(a, b, &td, shared),
-        None => cspdb_decomp::solve_with_decomposition_metered(a, b, &td, meter),
-    };
-    match result {
+    match cspdb_decomp::solve_with_decomposition_metered(a, b, &td, meter) {
         Ok(witness) => TreewidthTier::Decided(width, witness),
         Err(cspdb_decomp::DecompSolveError::Exhausted(r)) => {
             TreewidthTier::Other(width, TierOutcome::Exhausted(r))
@@ -825,175 +758,6 @@ fn treewidth_tier<M: Metering>(
             unreachable!("constructed decomposition is valid: {msg}")
         }
     }
-}
-
-/// How one racer in the portfolio ended.
-enum RaceResult {
-    Decided(Answer),
-    Skipped(&'static str),
-    Exhausted(ExhaustionReason),
-}
-
-/// [`SolveStrategy::Portfolio`]: instead of walking the ladder tier by
-/// tier with budget *slices*, the applicable structural strategies —
-/// Yannakakis on acyclic instances, the treewidth DP when planning stays
-/// under the cutoff, and MAC backtracking — **race on [`rayon`] workers
-/// under one thread-shared [`cspdb_core::budget::SharedMeter`]**. The
-/// budget's step, tuple, and deadline limits bound the racers' *total*
-/// work, and the first racer to produce a sound answer cancels the rest
-/// through a [`CancelToken`] child of the caller's token (so cancelling
-/// the caller still stops everything, while the race's own cancellation
-/// never escapes to the caller).
-///
-/// Schaefer's polynomial solvers still run inline first (they are
-/// low-order polynomial and complete), and the sound-refutation-only
-/// consistency fallbacks run after the race only if no racer decided.
-/// Soundness is unchanged: every decided answer agrees with the
-/// unbudgeted ground truth.
-fn run_portfolio(instance: &CspInstance, budget: &Budget) -> GovernedReport {
-    let mut d = Dispatch::new(budget);
-
-    // 1. Schaefer inline — same as the sequential ladder.
-    if let Some((strategy, answer, micros)) = schaefer_tier(&d, instance, budget) {
-        return d.decided(answer, strategy, micros, ResourceUsage::default());
-    }
-
-    // 2. Race the structural strategies under one shared meter. The race
-    // token is a *child* of the caller's token: caller cancellation
-    // propagates in, the winner's `race.cancel()` does not leak out.
-    let race = match &budget.cancel {
-        Some(caller) => caller.child(),
-        None => CancelToken::new(),
-    };
-    let race_budget = budget.clone().with_cancel(race.clone());
-    let meter = race_budget.shared_meter();
-    let acyclic = cspdb_relalg::is_acyclic_instance(instance);
-    let (a, b) = instance.to_homomorphism();
-
-    type Racer<'r> = Box<dyn FnOnce() -> (Strategy, RaceResult, u64) + Send + 'r>;
-    let racers: Vec<Racer> = vec![
-        Box::new(|| {
-            meter.tracer().emit_with(|| TraceEvent::TierStart {
-                strategy: "yannakakis",
-            });
-            let start = Instant::now();
-            if !acyclic {
-                return (
-                    Strategy::Yannakakis,
-                    RaceResult::Skipped("hypergraph is not α-acyclic"),
-                    micros_since(start),
-                );
-            }
-            let result = match cspdb_relalg::solve_acyclic_shared(instance, &meter) {
-                Ok(witness) => {
-                    race.cancel();
-                    RaceResult::Decided(answer_of(witness))
-                }
-                Err(cspdb_relalg::AcyclicSolveError::Exhausted(r)) => RaceResult::Exhausted(r),
-                Err(cspdb_relalg::AcyclicSolveError::NotAcyclic) => {
-                    unreachable!("checked acyclic")
-                }
-            };
-            (Strategy::Yannakakis, result, micros_since(start))
-        }),
-        Box::new(|| {
-            meter.tracer().emit_with(|| TraceEvent::TierStart {
-                strategy: "treewidth",
-            });
-            let start = Instant::now();
-            let g = cspdb_decomp::Graph::gaifman(&a);
-            let (strategy, result) =
-                match treewidth_tier(&a, &b, &g, true, &mut meter.clone(), Some(&meter)) {
-                    TreewidthTier::Decided(width, witness) => {
-                        race.cancel();
-                        (
-                            Strategy::Treewidth(width),
-                            RaceResult::Decided(answer_of(witness)),
-                        )
-                    }
-                    TreewidthTier::Other(width, TierOutcome::Exhausted(r)) => {
-                        (Strategy::Treewidth(width), RaceResult::Exhausted(r))
-                    }
-                    TreewidthTier::Other(width, TierOutcome::Skipped(why)) => {
-                        (Strategy::Treewidth(width), RaceResult::Skipped(why))
-                    }
-                    TreewidthTier::Other(..) => unreachable!("planning is exhaustive"),
-                };
-            (strategy, result, micros_since(start))
-        }),
-        Box::new(|| {
-            meter.tracer().emit_with(|| TraceEvent::TierStart {
-                strategy: "backtracking",
-            });
-            let start = Instant::now();
-            let run = cspdb_solver::solve_csp_shared(instance, &meter);
-            let result = match run.answer {
-                Answer::Unknown(r) => RaceResult::Exhausted(r),
-                sound => {
-                    race.cancel();
-                    RaceResult::Decided(sound)
-                }
-            };
-            (Strategy::Backtracking, result, micros_since(start))
-        }),
-    ];
-    let race_start = Instant::now();
-    let results: Vec<(Strategy, RaceResult, u64)> =
-        racers.into_par_iter().map(|tier| tier()).collect();
-    let race_micros = micros_since(race_start);
-
-    let mut winner: Option<(Strategy, Answer)> = None;
-    let mut losers: Vec<(&'static str, String)> = Vec::new();
-    for (strategy, result, micros) in results {
-        let outcome = match result {
-            RaceResult::Decided(answer) => {
-                if winner.is_none() {
-                    winner = Some((strategy, answer));
-                } else {
-                    losers.push((strategy.name(), "decided late".into()));
-                }
-                TierOutcome::Decided
-            }
-            RaceResult::Skipped(why) => {
-                losers.push((strategy.name(), format!("skipped: {why}")));
-                TierOutcome::Skipped(why)
-            }
-            RaceResult::Exhausted(r) => {
-                losers.push((strategy.name(), r.to_string()));
-                TierOutcome::Exhausted(r)
-            }
-        };
-        // Racer phases report zero counters: the meter is shared, so
-        // per-racer step/tuple attribution does not exist.
-        d.finish(strategy, outcome, micros, ResourceUsage::default());
-    }
-    if let Some((strategy, _)) = &winner {
-        let name = strategy.name();
-        d.tracer
-            .emit_with(|| TraceEvent::RaceWinner { strategy: name });
-        losers.retain(|(loser, _)| *loser != name);
-    }
-    for (name, cause) in losers {
-        d.tracer.emit_with(move || TraceEvent::RaceLoser {
-            strategy: name,
-            cause,
-        });
-    }
-    let total = meter.usage();
-    d.trace.phases.push(PhaseTrace {
-        phase: "portfolio".into(),
-        micros: race_micros,
-        steps: total.steps,
-        tuples: total.tuples,
-    });
-    if let Some((strategy, answer)) = winner {
-        return d.report(answer, Some(strategy));
-    }
-
-    // 3. Sound-refutation fallbacks, sequential, under the race-token
-    // budget (the race found no winner, so the token is untripped unless
-    // the caller cancelled).
-    consistency_fallbacks(d, instance, &a, &b, &race_budget)
 }
 
 #[cfg(test)]
@@ -1098,26 +862,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ladder_agrees_with_sequential() {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let cases = [
-            (cycle(5), clique(3), true),
-            (cycle(5), clique(2), false),
-            (clique(4), clique(3), false),
-            (path(7), clique(2), true),
-        ];
-        for (a, b, expected) in cases {
-            let seq = Solver::new().solve(&a, &b);
-            let par = pool.install(|| Solver::new().parallel(true).solve(&a, &b));
-            assert_eq!(seq.answer.is_sat(), expected, "sequential on {a}");
-            assert_eq!(par.answer.is_sat(), expected, "parallel on {a}");
-        }
-    }
-
-    #[test]
     fn direct_strategy_is_pure_backtracking() {
         let report = Solver::new()
             .strategy(SolveStrategy::Direct)
@@ -1130,107 +874,15 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_agrees_with_sequential_ladder() {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let cases = [
-            (cycle(5), clique(3), true),   // treewidth territory
-            (cycle(5), clique(4), true),   // treewidth territory, sat
-            (clique(4), clique(3), false), // backtracking territory
-            (clique(4), clique(4), true),  // backtracking territory, sat
-            (cycle(6), clique(2), true),   // Schaefer inline
-            (cycle(7), clique(2), false),  // Schaefer inline, unsat
-        ];
-        for (a, b, expected) in cases {
-            let solver = Solver::new().strategy(SolveStrategy::Portfolio);
-            let report = pool.install(|| solver.solve(&a, &b));
-            assert!(
-                report.strategy.is_some(),
-                "unlimited portfolio must decide on {a}"
-            );
-            assert_eq!(report.answer.is_sat(), expected, "on {a} -> {b}");
-            if let Some(w) = report.answer.witness() {
-                assert!(cspdb_core::is_homomorphism(w, &a, &b));
-            }
-            // And agreement with the sequential governed ladder.
-            let seq = Solver::new().solve(&a, &b);
-            assert_eq!(report.answer.is_sat(), seq.answer.is_sat());
-        }
-    }
-
-    #[test]
-    fn portfolio_acyclic_instances_race_yannakakis() {
-        // Non-Boolean star: Schaefer is inapplicable, so the race decides
-        // — and the Yannakakis racer must at least appear in the trace.
-        let mut p = CspInstance::new(4, 3);
-        let neq = Arc::new(
-            Relation::from_tuples(
-                2,
-                (0..3u32).flat_map(|i| (0..3u32).filter_map(move |j| (i != j).then_some([i, j]))),
-            )
-            .unwrap(),
-        );
-        for leaf in 1..4u32 {
-            p.add_constraint([0, leaf], neq.clone()).unwrap();
-        }
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let solver = Solver::new().strategy(SolveStrategy::Portfolio);
-        let report = pool.install(|| solver.solve_csp(&p));
-        assert!(report.answer.is_sat());
-        assert!(p.is_solution(report.answer.witness().unwrap()));
-        assert!(report
-            .attempts
-            .iter()
-            .any(|t| t.strategy == Strategy::Yannakakis));
-    }
-
-    #[test]
-    fn portfolio_exhausts_to_unknown_soundly() {
+    fn ladder_exhausts_to_unknown_soundly() {
         // A 1-step budget cannot decide K4 -> K3 (not Boolean, cyclic,
-        // planning alone costs more): every racer exhausts, fallbacks
-        // exhaust or stay inconclusive, answer is Unknown — never wrong.
+        // planning alone costs more): every tier exhausts or stays
+        // inconclusive, and the answer is Unknown — never wrong.
         let report = Solver::new()
             .budget(Budget::new().with_step_limit(1))
-            .strategy(SolveStrategy::Portfolio)
             .solve(&clique(4), &clique(3));
         assert!(report.answer.is_unknown());
         assert!(report.strategy.is_none());
-    }
-
-    #[test]
-    fn portfolio_respects_caller_cancellation() {
-        let token = cspdb_core::CancelToken::new();
-        token.cancel();
-        let budget = Budget::unlimited().with_cancel(token.clone());
-        // K7 -> K6 is big enough that every racer crosses an amortised
-        // checkpoint, so the pre-cancelled token must yield Unknown.
-        let report = Solver::new()
-            .budget(budget)
-            .strategy(SolveStrategy::Portfolio)
-            .solve(&clique(7), &clique(6));
-        assert!(report.answer.is_unknown());
-        // The race's internal cancellation must never fire the caller's
-        // token; here it was already cancelled by the caller, and the
-        // token object is unchanged (still just "cancelled").
-        assert!(token.is_cancelled());
-        // Conversely a fresh caller token stays untripped after a
-        // portfolio run in which a winner cancelled the race internally.
-        let token = cspdb_core::CancelToken::new();
-        let budget = Budget::unlimited().with_cancel(token.clone());
-        let report = Solver::new()
-            .budget(budget)
-            .strategy(SolveStrategy::Portfolio)
-            .solve(&cycle(5), &clique(3));
-        assert!(report.answer.is_sat());
-        assert!(
-            !token.is_cancelled(),
-            "race cancellation leaked to the caller token"
-        );
     }
 
     #[test]

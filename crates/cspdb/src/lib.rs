@@ -28,9 +28,9 @@
 //! assert!(report.answer.is_unsat());
 //! ```
 //!
-//! Budgets ([`core::budget::Budget`]), parallel tier execution, the
-//! portfolio race, and trace sinks ([`core::trace::TraceSink`]) all hang
-//! off the same builder; see [`Solver`] and [`ExplainReport`].
+//! Budgets ([`core::budget::Budget`]), the dispatch strategy
+//! ([`SolveStrategy`]) and trace sinks ([`core::trace::TraceSink`]) all
+//! hang off the same builder; see [`Solver`] and [`ExplainReport`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -86,11 +86,6 @@ mod facade_surface_tests {
             .budget(Budget::unlimited())
             .solve(&cycle(5), &clique(3));
         assert!(governed.answer.is_sat());
-        let portfolio = Solver::new()
-            .budget(Budget::unlimited())
-            .strategy(SolveStrategy::Portfolio)
-            .solve(&cycle(5), &clique(3));
-        assert!(portfolio.answer.is_sat());
         let instance = CspInstance::from_homomorphism(&cycle(5), &clique(3)).unwrap();
         assert!(Solver::new()
             .solve_csp(&instance)
@@ -99,12 +94,6 @@ mod facade_surface_tests {
             .is_some());
         assert!(Solver::new()
             .budget(Budget::unlimited())
-            .solve_csp(&instance)
-            .answer
-            .is_sat());
-        assert!(Solver::new()
-            .budget(Budget::unlimited())
-            .strategy(SolveStrategy::Portfolio)
             .solve_csp(&instance)
             .answer
             .is_sat());

@@ -10,7 +10,7 @@
 //! recomputed.
 
 use crate::ast::{Program, Rule, Term};
-use cspdb_core::budget::{Budget, ExhaustionReason, Metering};
+use cspdb_core::budget::{Budget, ExhaustionReason, Meter};
 use cspdb_core::trace::TraceEvent;
 use cspdb_core::{Relation, Structure};
 use std::collections::HashMap;
@@ -94,15 +94,15 @@ pub fn evaluate_budgeted(
     evaluate_metered(program, edb, &mut budget.meter())
 }
 
-/// [`evaluate`] under any [`Metering`] enforcer: same contract as
+/// [`evaluate`] under a [`Meter`]: same contract as
 /// [`evaluate_budgeted`], but the caller keeps the meter, so resource
 /// usage (and the tracer it carries) stays readable afterwards. Emits
 /// one [`TraceEvent::DatalogIteration`] per semi-naive round with the
 /// delta and cumulative fact counts.
-pub fn evaluate_metered<M: Metering>(
+pub fn evaluate_metered(
     program: &Program,
     edb: &Structure,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<Evaluation, EvalError> {
     let domain = edb.domain_size() as u32;
     // Infer predicate arities.
@@ -277,12 +277,12 @@ pub fn goal_holds_budgeted(
 
 /// Enumerates all satisfying bindings of a single rule, invoking `emit`
 /// with the head predicate and the instantiated head tuple.
-fn fire_rule<M: Metering>(
+fn fire_rule(
     rule: &Rule,
     edb: &HashMap<&str, &Relation>,
     full: &HashMap<String, Relation>,
     delta_at: Option<(usize, &Relation)>,
-    meter: &mut M,
+    meter: &mut Meter,
     emit: &mut impl FnMut(&str, &[u32]),
 ) -> Result<(), ExhaustionReason> {
     let mut bindings: HashMap<&str, u32> = HashMap::new();
@@ -308,14 +308,14 @@ fn fire_rule<M: Metering>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn search<'r, M: Metering>(
+fn search<'r>(
     rule: &'r Rule,
     idx: usize,
     edb: &HashMap<&str, &Relation>,
     full: &HashMap<String, Relation>,
     delta_at: Option<(usize, &Relation)>,
     bindings: &mut HashMap<&'r str, u32>,
-    meter: &mut M,
+    meter: &mut Meter,
     found: &mut impl FnMut(&HashMap<&'r str, u32>),
 ) -> Result<(), ExhaustionReason> {
     if idx == rule.body.len() {

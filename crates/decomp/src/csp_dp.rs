@@ -13,10 +13,9 @@
 
 use crate::graph::Graph;
 use crate::treewidth::{from_elimination_order, min_fill_order_metered, TreeDecomposition};
-use cspdb_core::budget::{Budget, ExhaustionReason, Metering, SharedMeter};
+use cspdb_core::budget::{Budget, ExhaustionReason, Meter};
 use cspdb_core::trace::TraceEvent;
 use cspdb_core::{RelId, Structure};
-use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// Error from the budgeted decomposition DP: either the decomposition
@@ -94,8 +93,6 @@ struct DpSetup {
     children: Vec<Vec<usize>>,
     /// DFS preorder: parents before children.
     order: Vec<usize>,
-    /// `depth[i]` = distance from bag `i` to the root.
-    depth: Vec<usize>,
     bag_facts: Vec<Vec<(RelId, Vec<u32>)>>,
 }
 
@@ -118,7 +115,6 @@ fn dp_setup(a: &Structure, td: &TreeDecomposition) -> DpSetup {
     let nb = td.bags.len();
     let mut parent: Vec<Option<usize>> = vec![None; nb];
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); nb];
-    let mut depth = vec![0usize; nb];
     let mut order: Vec<usize> = Vec::with_capacity(nb);
     let mut stack = vec![0usize];
     let mut visited = vec![false; nb];
@@ -130,7 +126,6 @@ fn dp_setup(a: &Structure, td: &TreeDecomposition) -> DpSetup {
                 visited[v] = true;
                 parent[v] = Some(u);
                 children[u].push(v);
-                depth[v] = depth[u] + 1;
                 stack.push(v);
             }
         }
@@ -140,22 +135,20 @@ fn dp_setup(a: &Structure, td: &TreeDecomposition) -> DpSetup {
         parent,
         children,
         order,
-        depth,
         bag_facts,
     }
 }
 
 /// Computes the table of surviving assignments for one bag, given its
 /// children's (final) tables. One step is ticked per assignment
-/// enumerated, one tuple charged per surviving row. This is the single
-/// DP kernel the sequential and parallel solvers share.
-fn compute_bag_table<M: Metering>(
+/// enumerated, one tuple charged per surviving row.
+fn compute_bag_table(
     b: &Structure,
     td: &TreeDecomposition,
     setup: &DpSetup,
     node: usize,
     tables: &[Vec<Vec<u32>>],
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<Vec<Vec<u32>>, ExhaustionReason> {
     let bag = &td.bags[node];
     // Pre-index child tables by the shared-variable projection:
@@ -234,12 +227,12 @@ fn compute_bag_table<M: Metering>(
 }
 
 /// Top-down witness extraction from the completed bag tables.
-fn extract_witness<M: Metering>(
+fn extract_witness(
     a: &Structure,
     td: &TreeDecomposition,
     setup: &DpSetup,
     tables: &[Vec<Vec<u32>>],
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<Vec<u32>, ExhaustionReason> {
     let n = a.domain_size();
     let nb = td.bags.len();
@@ -278,54 +271,32 @@ fn extract_witness<M: Metering>(
         .collect())
 }
 
-/// Trivial-case screening shared by the sequential and parallel DP
-/// drivers: `Err` for an invalid decomposition, `Ok(Some(verdict))`
-/// when no DP is needed, `Ok(None)` to proceed.
-#[allow(clippy::type_complexity)]
-fn dp_precheck(
+/// [`solve_with_decomposition`] under a [`Meter`]: same contract as
+/// [`solve_with_decomposition_budgeted`], but the caller keeps the meter, so resource usage (and the tracer it carries) stays
+/// readable afterwards. Emits one [`TraceEvent::Decomposition`] summary
+/// and one [`TraceEvent::DpTable`] per bag table materialised.
+pub fn solve_with_decomposition_metered(
     a: &Structure,
     b: &Structure,
     td: &TreeDecomposition,
-) -> Result<Option<Option<Vec<u32>>>, DecompSolveError> {
+    meter: &mut Meter,
+) -> Result<Option<Vec<u32>>, DecompSolveError> {
     if a.vocabulary() != b.vocabulary() {
         return Err(DecompSolveError::Invalid("vocabulary mismatch".into()));
     }
     td.validate_structure(a)
         .map_err(DecompSolveError::Invalid)?;
     if a.domain_size() == 0 {
-        return Ok(Some(Some(vec![])));
+        return Ok(Some(vec![]));
     }
     if b.domain_size() == 0 {
-        return Ok(Some(None));
+        return Ok(None);
     }
-    Ok(None)
-}
-
-/// Emits the one-per-run [`TraceEvent::Decomposition`] summary shared
-/// by the sequential and parallel DP drivers.
-fn emit_decomposition<M: Metering>(td: &TreeDecomposition, meter: &mut M) {
     meter.tracer().emit_with(|| TraceEvent::Decomposition {
         width: td.width(),
         bags: td.bags.len(),
         largest_bag: td.bags.iter().map(|b| b.len()).max().unwrap_or(0),
     });
-}
-
-/// [`solve_with_decomposition`] under any [`Metering`] enforcer: same
-/// contract as [`solve_with_decomposition_budgeted`], but the caller
-/// keeps the meter, so resource usage (and the tracer it carries) stays
-/// readable afterwards. Emits one [`TraceEvent::Decomposition`] summary
-/// and one [`TraceEvent::DpTable`] per bag table materialised.
-pub fn solve_with_decomposition_metered<M: Metering>(
-    a: &Structure,
-    b: &Structure,
-    td: &TreeDecomposition,
-    meter: &mut M,
-) -> Result<Option<Vec<u32>>, DecompSolveError> {
-    if let Some(verdict) = dp_precheck(a, b, td)? {
-        return Ok(verdict);
-    }
-    emit_decomposition(td, meter);
     let setup = dp_setup(a, td);
     // Bottom-up: table of surviving bag assignments per node.
     let nb = td.bags.len();
@@ -337,66 +308,6 @@ pub fn solve_with_decomposition_metered<M: Metering>(
         }
     }
     let witness = extract_witness(a, td, &setup, &tables, meter)?;
-    debug_assert!(cspdb_core::is_homomorphism(&witness, a, b));
-    Ok(Some(witness))
-}
-
-/// [`solve_with_decomposition_budgeted`] with independent subtrees
-/// computed in parallel under a thread-shared budget: bag tables at the
-/// same depth depend only on tables one level deeper, so each level's
-/// bags run on [`rayon`] workers charging the one [`SharedMeter`]. The
-/// verdict and witness are identical to the sequential DP's.
-///
-/// # Errors
-///
-/// [`DecompSolveError::Invalid`] if the decomposition does not cover
-/// **A**, [`DecompSolveError::Exhausted`] if the shared budget ran out
-/// or was cancelled.
-pub fn solve_with_decomposition_shared(
-    a: &Structure,
-    b: &Structure,
-    td: &TreeDecomposition,
-    meter: &SharedMeter,
-) -> Result<Option<Vec<u32>>, DecompSolveError> {
-    if let Some(verdict) = dp_precheck(a, b, td)? {
-        return Ok(verdict);
-    }
-    emit_decomposition(td, &mut meter.clone());
-    let setup = dp_setup(a, td);
-    let nb = td.bags.len();
-    let max_depth = setup.depth.iter().copied().max().unwrap_or(0);
-    let mut tables: Vec<Vec<Vec<u32>>> = vec![Vec::new(); nb];
-    // Bottom-up, level by level (deepest first); bags within a level are
-    // independent and parallelise.
-    for level in (0..=max_depth).rev() {
-        let nodes: Vec<usize> = setup
-            .order
-            .iter()
-            .copied()
-            .filter(|&n| setup.depth[n] == level)
-            .collect();
-        let tables_ref = &tables;
-        let setup_ref = &setup;
-        let computed: Vec<(usize, Vec<Vec<u32>>)> = nodes
-            .into_par_iter()
-            .map(move |node| {
-                let table =
-                    compute_bag_table(b, td, setup_ref, node, tables_ref, &mut meter.clone())?;
-                Ok((node, table))
-            })
-            .collect::<Result<_, ExhaustionReason>>()
-            .map_err(DecompSolveError::Exhausted)?;
-        let mut any_empty = false;
-        for (node, table) in computed {
-            any_empty |= table.is_empty();
-            tables[node] = table;
-        }
-        if any_empty {
-            return Ok(None);
-        }
-    }
-    let witness = extract_witness(a, td, &setup, &tables, &mut meter.clone())
-        .map_err(DecompSolveError::Exhausted)?;
     debug_assert!(cspdb_core::is_homomorphism(&witness, a, b));
     Ok(Some(witness))
 }
@@ -421,41 +332,19 @@ pub fn solve_by_treewidth_budgeted(
     solve_by_treewidth_metered(a, b, &mut budget.meter())
 }
 
-/// [`solve_by_treewidth`] under any [`Metering`] enforcer: same contract
+/// [`solve_by_treewidth`] under a [`Meter`]: same contract
 /// as [`solve_by_treewidth_budgeted`], but the caller keeps the meter,
 /// so resource usage (and the tracer it carries) stays readable
 /// afterwards.
-pub fn solve_by_treewidth_metered<M: Metering>(
+pub fn solve_by_treewidth_metered(
     a: &Structure,
     b: &Structure,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<(usize, Option<Vec<u32>>), ExhaustionReason> {
     let g = Graph::gaifman(a);
     let order = min_fill_order_metered(&g, meter)?;
     let td = from_elimination_order(&g, &order);
     let res = match solve_with_decomposition_metered(a, b, &td, meter) {
-        Ok(res) => res,
-        Err(DecompSolveError::Exhausted(r)) => return Err(r),
-        Err(DecompSolveError::Invalid(msg)) => {
-            unreachable!("constructed decomposition is valid: {msg}")
-        }
-    };
-    Ok((td.width(), res))
-}
-
-/// [`solve_by_treewidth_budgeted`] with the DP parallelised per
-/// decomposition level under a thread-shared budget (see
-/// [`solve_with_decomposition_shared`]). Planning (min-fill order) and
-/// the DP draw from the same shared meter.
-pub fn solve_by_treewidth_shared(
-    a: &Structure,
-    b: &Structure,
-    meter: &SharedMeter,
-) -> Result<(usize, Option<Vec<u32>>), ExhaustionReason> {
-    let g = Graph::gaifman(a);
-    let order = min_fill_order_metered(&g, &mut meter.clone())?;
-    let td = from_elimination_order(&g, &order);
-    let res = match solve_with_decomposition_shared(a, b, &td, meter) {
         Ok(res) => res,
         Err(DecompSolveError::Exhausted(r)) => return Err(r),
         Err(DecompSolveError::Invalid(msg)) => {
@@ -546,43 +435,16 @@ mod tests {
     }
 
     #[test]
-    fn shared_dp_agrees_with_sequential() {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let cases = [
-            (cycle(5), clique(3), true),
-            (cycle(5), clique(2), false),
-            (cycle(6), clique(2), true),
-            (path(7), clique(2), true),
-        ];
-        for (a, b, expected) in cases {
-            let (seq_w, seq_res) = solve_by_treewidth(&a, &b);
-            let meter = Budget::unlimited().shared_meter();
-            let (par_w, par_res) = pool
-                .install(|| solve_by_treewidth_shared(&a, &b, &meter))
-                .unwrap();
-            assert_eq!(par_w, seq_w);
-            assert_eq!(par_res.is_some(), expected, "on {a}");
-            // The parallel DP is deterministic and must match exactly.
-            assert_eq!(par_res, seq_res, "on {a}");
-        }
-    }
-
-    #[test]
-    fn shared_dp_observes_step_limit() {
-        let a = cycle(6);
-        let b = clique(3);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let meter = Budget::unlimited().with_step_limit(10).shared_meter();
+    fn dp_observes_step_limit() {
+        let budget = Budget::unlimited().with_step_limit(10);
         assert_eq!(
-            pool.install(|| solve_by_treewidth_shared(&a, &b, &meter)),
+            solve_by_treewidth_budgeted(&cycle(6), &clique(3), &budget),
             Err(ExhaustionReason::StepLimitExceeded)
         );
+        // Width above two: K3,3 is bipartite, so it maps to K2.
+        let a = cspdb_core::graphs::complete_bipartite(3, 3);
+        let (_, res) = solve_by_treewidth(&a, &clique(2));
+        assert!(is_homomorphism(&res.expect("bipartite"), &a, &clique(2)));
     }
 
     #[test]

@@ -40,8 +40,8 @@ mod treewidth;
 pub use counting::{count_by_treewidth, count_with_decomposition};
 pub use csp_dp::{
     bag_table_bound, solve_by_treewidth, solve_by_treewidth_budgeted, solve_by_treewidth_metered,
-    solve_by_treewidth_shared, solve_with_decomposition, solve_with_decomposition_budgeted,
-    solve_with_decomposition_metered, solve_with_decomposition_shared, DecompSolveError,
+    solve_with_decomposition, solve_with_decomposition_budgeted, solve_with_decomposition_metered,
+    DecompSolveError,
 };
 pub use graph::Graph;
 pub use hypergraph::{Hypergraph, JoinTree};
@@ -51,5 +51,5 @@ pub use querydecomp::{atoms_of, query_decomposition_from_incidence, QueryDecompo
 pub use treewidth::{
     exact_treewidth, exact_treewidth_budgeted, from_elimination_order, heuristic_decomposition,
     heuristic_decomposition_budgeted, min_degree_order, min_fill_order, min_fill_order_budgeted,
-    min_fill_order_metered, min_fill_order_shared, order_width, TreeDecomposition,
+    min_fill_order_metered, order_width, TreeDecomposition,
 };

@@ -15,7 +15,7 @@
 //! checks independently.
 
 use crate::graph::Graph;
-use cspdb_core::budget::{Budget, ExhaustionReason, Meter, Metering, SharedMeter};
+use cspdb_core::budget::{Budget, ExhaustionReason, Meter};
 use cspdb_core::Structure;
 use std::collections::{BTreeSet, HashSet};
 
@@ -243,20 +243,10 @@ pub fn min_fill_order_budgeted(g: &Graph, budget: &Budget) -> Result<Vec<u32>, E
     min_fill_order_metered(g, &mut meter)
 }
 
-/// [`min_fill_order`] charging a thread-shared [`SharedMeter`]: used
-/// when decomposition planning runs inside a parallel portfolio under
-/// one global budget.
-pub fn min_fill_order_shared(g: &Graph, meter: &SharedMeter) -> Result<Vec<u32>, ExhaustionReason> {
-    min_fill_order_metered(g, &mut meter.clone())
-}
-
-/// Generic-meter core of [`min_fill_order_budgeted`]: charges the
-/// supplied [`Metering`] implementation instead of owning a fresh meter,
+/// Core of [`min_fill_order_budgeted`]: charges the caller's [`Meter`]
+/// instead of owning a fresh one,
 /// so callers can pool planning with downstream DP on one budget slice.
-pub fn min_fill_order_metered<M: Metering>(
-    g: &Graph,
-    meter: &mut M,
-) -> Result<Vec<u32>, ExhaustionReason> {
+pub fn min_fill_order_metered(g: &Graph, meter: &mut Meter) -> Result<Vec<u32>, ExhaustionReason> {
     elimination_heuristic_budgeted(g, meter, fill_score)
 }
 
@@ -279,9 +269,9 @@ fn elimination_heuristic(g: &Graph, score: impl Fn(&[BTreeSet<u32>], u32) -> usi
         .expect("unlimited budget cannot exhaust")
 }
 
-fn elimination_heuristic_budgeted<M: Metering>(
+fn elimination_heuristic_budgeted(
     g: &Graph,
-    meter: &mut M,
+    meter: &mut Meter,
     score: impl Fn(&[BTreeSet<u32>], u32) -> usize,
 ) -> Result<Vec<u32>, ExhaustionReason> {
     let n = g.num_vertices();

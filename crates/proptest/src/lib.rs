@@ -8,10 +8,12 @@
 //! * range and tuple strategies, `prop::collection::vec`,
 //!   [`Strategy::prop_map`], and `any::<T>()` for a few primitives.
 //!
-//! Failing cases are reported with their case index and the fixed
-//! per-test seed so runs are reproducible; there is **no shrinking** —
-//! generators here keep instances small enough that raw counterexamples
-//! are readable.
+//! Failing cases are reported with their case index and every drawn
+//! argument (`{:?}`), and the per-test seed is fixed so runs are
+//! reproducible; there is **no shrinking** — generators here keep
+//! instances small enough that raw counterexamples are readable. The
+//! arguments are re-drawn from a copy of the case's RNG only when the
+//! case fails, so passing runs pay nothing for the report.
 
 #![forbid(unsafe_code)]
 
@@ -406,6 +408,7 @@ macro_rules! __proptest_items {
                 stringify!($name)
             ));
             for case in 0..config.cases {
+                let replay = rng.clone();
                 $(let $arg = $crate::strategy::Strategy::sample(&($strat), &mut rng);)*
                 let outcome: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
                     (|| {
@@ -414,13 +417,21 @@ macro_rules! __proptest_items {
                         ::std::result::Result::Ok(())
                     })();
                 if let ::std::result::Result::Err(e) = outcome {
+                    // The body may have consumed the arguments: draw them
+                    // again from the RNG state this case started from.
+                    let mut replay = replay;
+                    let mut inputs = ::std::string::String::new();
+                    $(
+                        let value = $crate::strategy::Strategy::sample(&($strat), &mut replay);
+                        inputs.push_str(&format!("\n  {} = {:?}", stringify!($arg), value));
+                    )*
                     panic!(
                         "property `{}` failed on case {}/{}: {}\ninputs:{}",
                         stringify!($name),
                         case + 1,
                         config.cases,
                         e,
-                        concat!($("\n  ", stringify!($arg), " in ", stringify!($strat)),*)
+                        inputs
                     );
                 }
             }
@@ -468,5 +479,22 @@ mod tests {
         let message = *result.unwrap_err().downcast::<String>().unwrap();
         assert!(message.contains("always_fails"), "got: {message}");
         assert!(message.contains("x was"), "got: {message}");
+    }
+
+    proptest! {
+        /// The report names the drawn value (the range holds one value,
+        /// so the expected text does not depend on the seed) and the
+        /// failing case.
+        #[test]
+        #[should_panic(expected = "failed on case 1/64: no good at")]
+        fn failure_reports_case_index(x in 7..8u32) {
+            prop_assert!(x != 7, "no good");
+        }
+
+        #[test]
+        #[should_panic(expected = "inputs:\n  x = 7\n  v = [5, 5]")]
+        fn failure_reports_drawn_values(x in 7..8u32, v in prop::collection::vec(5..6u32, 2)) {
+            prop_assert!(x + v[0] != 12, "no good");
+        }
     }
 }

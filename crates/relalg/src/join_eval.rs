@@ -14,9 +14,9 @@
 //! baseline the `e_join_order` benchmark measures the planner against.
 
 use crate::named::NamedRelation;
-use crate::planner::{common_attrs, plan_join_order, IndexCache, JoinOrder, INDEX_CACHE_CAPACITY};
+use crate::planner::{common_attrs, IndexCache, JoinOrder, INDEX_CACHE_CAPACITY};
 use crate::wcoj::{choose_engine, wcoj_join_with_order, EngineChoice};
-use cspdb_core::budget::{Budget, ExhaustionReason, Meter, Metering, SharedMeter};
+use cspdb_core::budget::{Budget, ExhaustionReason, Meter};
 use cspdb_core::CspInstance;
 
 /// Lowers each constraint to a named relation over its scope.
@@ -41,7 +41,7 @@ pub fn join_all(relations: Vec<NamedRelation>) -> NamedRelation {
         .expect("unlimited budget cannot exhaust")
 }
 
-/// [`join_all`] under any [`Metering`] enforcer, with cost-based engine
+/// [`join_all`] under a [`Meter`], with cost-based engine
 /// choice: the binary System-R plan is compared against the
 /// worst-case-optimal leapfrog engine ([`crate::wcoj`]) and the winner
 /// runs. The choice, order, and rationale are traced
@@ -51,9 +51,9 @@ pub fn join_all(relations: Vec<NamedRelation>) -> NamedRelation {
 /// tuple cap, so runaway intermediate results abort instead of
 /// exhausting memory; the WCOJ path materializes nothing but output
 /// rows, each charged as it is produced.
-pub fn join_all_metered<M: Metering>(
+pub fn join_all_metered(
     relations: &[NamedRelation],
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<NamedRelation, ExhaustionReason> {
     match choose_engine(relations) {
         EngineChoice::Binary { plan, reason } => {
@@ -77,10 +77,10 @@ pub fn join_all_metered<M: Metering>(
 }
 
 /// The binary engine: executes `plan`'s left-deep hash-join pipeline.
-fn join_binary_planned<M: Metering>(
+fn join_binary_planned(
     relations: &[NamedRelation],
     plan: &JoinOrder,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<NamedRelation, ExhaustionReason> {
     let mut cache = IndexCache::new(INDEX_CACHE_CAPACITY);
     let mut acc: Option<NamedRelation> = None;
@@ -112,40 +112,13 @@ fn join_binary_planned<M: Metering>(
     Ok(acc.unwrap_or_else(NamedRelation::unit))
 }
 
-/// [`join_all_metered`] fixed to the single-threaded [`Meter`] (the
-/// pre-existing budgeted entry point).
+/// [`join_all_metered`] over an owned relation list (the older budgeted
+/// entry point).
 pub fn join_all_budgeted(
     relations: Vec<NamedRelation>,
     meter: &mut Meter,
 ) -> Result<NamedRelation, ExhaustionReason> {
     join_all_metered(&relations, meter)
-}
-
-/// [`join_all`] with every pairwise join executed as a partitioned
-/// parallel hash join ([`NamedRelation::natural_join_parallel`]) under a
-/// thread-shared budget. The join *sequence* is the same planner order,
-/// so the result is identical to [`join_all`]'s; only the work inside
-/// each pairwise join fans out (planned cross products route to the
-/// sequential kernel — an empty join key defeats hash partitioning).
-pub fn join_all_parallel(
-    relations: Vec<NamedRelation>,
-    meter: &SharedMeter,
-) -> Result<NamedRelation, ExhaustionReason> {
-    let plan = plan_join_order(&relations);
-    meter.tracer().emit_with(|| plan.trace_event());
-    let mut acc: Option<NamedRelation> = None;
-    for step in &plan.steps {
-        let r = &relations[step.relation];
-        let next = match acc {
-            None => r.clone(),
-            Some(a) => a.natural_join_parallel(r, meter)?,
-        };
-        if next.is_empty() {
-            return Ok(next);
-        }
-        acc = Some(next);
-    }
-    Ok(acc.unwrap_or_else(NamedRelation::unit))
 }
 
 /// The historical size-only join order: ascending cardinality, blind to
@@ -158,14 +131,14 @@ pub fn join_all_size_ordered(relations: Vec<NamedRelation>) -> NamedRelation {
         .expect("unlimited budget cannot exhaust")
 }
 
-/// [`join_all_size_ordered`] under any [`Metering`] enforcer. The
+/// [`join_all_size_ordered`] under a [`Meter`]. The
 /// baseline used to bypass metering entirely — a comparison run could
 /// blow far past a tuple budget the planned path respected; now every
 /// intermediate row is charged through the same metered join kernel, so
 /// baseline-vs-planner comparisons run under identical budgets.
-pub fn join_all_size_ordered_metered<M: Metering>(
+pub fn join_all_size_ordered_metered(
     mut relations: Vec<NamedRelation>,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<NamedRelation, ExhaustionReason> {
     relations.sort_by_key(NamedRelation::len);
     let mut acc = NamedRelation::unit();
@@ -176,30 +149,6 @@ pub fn join_all_size_ordered_metered<M: Metering>(
         }
     }
     Ok(acc)
-}
-
-/// [`solve_by_join`] with parallel pairwise joins under a thread-shared
-/// budget (see [`join_all_parallel`]): `Err` when the shared budget ran
-/// out or was cancelled mid-join, otherwise the unbudgeted contract.
-pub fn solve_by_join_parallel(
-    instance: &CspInstance,
-    meter: &SharedMeter,
-) -> Result<Option<Vec<u32>>, ExhaustionReason> {
-    if instance.num_vars() > 0 && instance.num_values() == 0 {
-        return Ok(None);
-    }
-    let relations = constraint_relations(instance);
-    let joined = join_all_parallel(relations, meter)?;
-    if joined.is_empty() {
-        return Ok(None);
-    }
-    let row = &joined.rows()[0];
-    let mut solution = vec![0u32; instance.num_vars()];
-    for (i, &attr) in joined.schema().iter().enumerate() {
-        solution[attr as usize] = row[i];
-    }
-    debug_assert!(instance.is_solution(&solution));
-    Ok(Some(solution))
 }
 
 /// [`solve_by_join`] under a [`Budget`]: `Err` when the budget ran out
@@ -336,24 +285,6 @@ mod tests {
         let p = CspInstance::new(2, 0);
         assert!(solve_by_join(&p).is_none());
         assert_eq!(count_by_join(&p), 0);
-    }
-
-    #[test]
-    fn parallel_join_pipeline_agrees_with_sequential() {
-        let tri = [(0u32, 1u32), (1, 2), (0, 2)];
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        for colors in [2usize, 3, 4] {
-            let p = coloring(3, &tri, colors);
-            let meter = cspdb_core::Budget::unlimited().shared_meter();
-            let parallel = pool.install(|| solve_by_join_parallel(&p, &meter)).unwrap();
-            assert_eq!(parallel.is_some(), solve_by_join(&p).is_some());
-            if let Some(sol) = parallel {
-                assert!(p.is_solution(&sol));
-            }
-        }
     }
 
     #[test]

@@ -36,8 +36,7 @@ mod yannakakis;
 
 pub use join_eval::{
     constraint_relations, count_by_join, join_all, join_all_budgeted, join_all_metered,
-    join_all_parallel, join_all_size_ordered, join_all_size_ordered_metered, solve_by_join,
-    solve_by_join_budgeted, solve_by_join_parallel,
+    join_all_size_ordered, join_all_size_ordered_metered, solve_by_join, solve_by_join_budgeted,
 };
 pub use named::NamedRelation;
 pub use planner::{
@@ -49,6 +48,5 @@ pub use wcoj::{
 };
 pub use yannakakis::{
     is_acyclic_instance, solve_acyclic, solve_acyclic_budgeted, solve_acyclic_hom,
-    solve_acyclic_metered, solve_acyclic_shared, solve_with_hypertree, AcyclicSolveError,
-    NotAcyclic,
+    solve_acyclic_metered, solve_with_hypertree, AcyclicSolveError, NotAcyclic,
 };

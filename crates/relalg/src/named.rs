@@ -8,27 +8,10 @@
 //! attribute ids.
 
 use crate::planner::HashIndex;
-use cspdb_core::budget::{Budget, ExhaustionReason, Meter, Metering, SharedMeter};
+use cspdb_core::budget::{Budget, ExhaustionReason, Meter};
 use cspdb_core::trace::{OperatorKind, TraceEvent, Tracer};
-use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-
-/// Minimum combined row count before [`NamedRelation::natural_join_parallel`]
-/// bothers spawning workers; below this, partitioning overhead dominates.
-const PARALLEL_JOIN_MIN_ROWS: usize = 512;
-
-/// Deterministic (FNV-1a) hash of a join key, used to assign rows to
-/// partitions. Must not depend on process-global state: the parallel
-/// join's output is required to be byte-identical to the sequential
-/// join's, and partition assignment feeds the concatenation order.
-fn key_hash(values: impl Iterator<Item = u32>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in values {
-        h = (h ^ u64::from(v)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Column correspondence for `left ⋈ right`, computed once per join.
 struct JoinPlan {
@@ -62,20 +45,16 @@ impl JoinPlan {
 }
 
 /// Hash-joins `left` against `right` under `plan`, charging the meter
-/// one tick per input row and one tuple per output row. This is the
-/// single join kernel: the sequential, budgeted, and parallel
-/// (per-partition) joins all run exactly this loop.
+/// one tick per input row and one tuple per output row.
 ///
-/// Emits one [`TraceEvent::Operator`] per completed call (tagged `kind`
-/// so partition joins are distinguishable); its `output_rows` equals
-/// the tuples charged, which the trace-accounting property test relies
-/// on.
-fn join_rows<M: Metering>(
+/// Emits one [`TraceEvent::Operator`] per completed call; its
+/// `output_rows` equals the tuples charged, which the trace-accounting
+/// property test relies on.
+fn join_rows(
     left: &[Vec<u32>],
     right: &[Vec<u32>],
     plan: &JoinPlan,
-    kind: OperatorKind,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<Vec<Vec<u32>>, ExhaustionReason> {
     let span = meter.tracer().span_start();
     let mut index: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
@@ -98,7 +77,7 @@ fn join_rows<M: Metering>(
         }
     }
     meter.tracer().emit_with(|| TraceEvent::Operator {
-        op: kind,
+        op: OperatorKind::HashJoin,
         left_rows: left.len() as u64,
         right_rows: right.len() as u64,
         output_rows: rows.len() as u64,
@@ -200,35 +179,19 @@ impl NamedRelation {
         (self.rows.len() as u64).checked_mul(other.rows.len() as u64)
     }
 
-    /// [`natural_join`](Self::natural_join) under any [`Metering`]
-    /// enforcer: every output row is charged against the tuple cap *as
+    /// [`natural_join`](Self::natural_join) under a [`Meter`]: every
+    /// output row is charged against the tuple cap *as
     /// it is produced*, so a join whose intermediate result would blow
     /// the cap aborts mid-materialisation instead of exhausting memory
     /// first.
-    pub fn natural_join_metered<M: Metering>(
-        &self,
-        other: &NamedRelation,
-        meter: &mut M,
-    ) -> Result<NamedRelation, ExhaustionReason> {
-        let plan = JoinPlan::new(self, other);
-        let rows = join_rows(
-            &self.rows,
-            &other.rows,
-            &plan,
-            OperatorKind::HashJoin,
-            meter,
-        )?;
-        Ok(NamedRelation::new(plan.schema, rows))
-    }
-
-    /// [`natural_join_metered`](Self::natural_join_metered) fixed to the
-    /// single-threaded [`Meter`] (the pre-existing budgeted entry point).
-    pub fn natural_join_budgeted(
+    pub fn natural_join_metered(
         &self,
         other: &NamedRelation,
         meter: &mut Meter,
     ) -> Result<NamedRelation, ExhaustionReason> {
-        self.natural_join_metered(other, meter)
+        let plan = JoinPlan::new(self, other);
+        let rows = join_rows(&self.rows, &other.rows, &plan, meter)?;
+        Ok(NamedRelation::new(plan.schema, rows))
     }
 
     /// Natural join: rows that agree on all common attributes are glued;
@@ -251,11 +214,11 @@ impl NamedRelation {
     ///
     /// Panics if the index key is not the common attribute set, or the
     /// index row count does not match `other`.
-    pub fn natural_join_with_index<M: Metering>(
+    pub fn natural_join_with_index(
         &self,
         other: &NamedRelation,
         index: &HashIndex,
-        meter: &mut M,
+        meter: &mut Meter,
     ) -> Result<NamedRelation, ExhaustionReason> {
         let plan = JoinPlan::new(self, other);
         assert_eq!(
@@ -295,86 +258,18 @@ impl NamedRelation {
         Ok(NamedRelation::new(plan.schema, rows))
     }
 
-    /// Partitioned parallel natural join under a thread-shared budget.
-    ///
-    /// Both sides are hash-partitioned on the join key with a fixed
-    /// (process-independent) hash; partition pairs are joined on
-    /// [`rayon`] workers, each charging the one [`SharedMeter`]; and the
-    /// per-partition results are concatenated in partition-index order
-    /// before canonicalisation, so the result is **identical** to
-    /// [`natural_join`](Self::natural_join). Disjoint schemas (a pure
-    /// cartesian product) parallelise over blocks of `self` instead.
-    ///
-    /// Small inputs and single-thread configurations fall back to the
-    /// sequential kernel — still metered, so cancellation works either
-    /// way.
-    pub fn natural_join_parallel(
-        &self,
-        other: &NamedRelation,
-        meter: &SharedMeter,
-    ) -> Result<NamedRelation, ExhaustionReason> {
-        let threads = rayon::current_num_threads();
-        if threads <= 1 || self.rows.len() + other.rows.len() < PARALLEL_JOIN_MIN_ROWS {
-            return self.natural_join_metered(other, &mut meter.clone());
-        }
-        let plan = JoinPlan::new(self, other);
-        if plan.common.is_empty() {
-            // Empty join key: every row hashes identically, so hash
-            // partitioning degenerates to one partition doing all the
-            // work while the workers idle. The planner only emits such
-            // joins as explicit cross products; run them on the
-            // sequential kernel.
-            return self.natural_join_metered(other, &mut meter.clone());
-        }
-        let results: Result<Vec<Vec<Vec<u32>>>, ExhaustionReason> = {
-            // Hash-partition both sides on the join key; joining
-            // partition i of self with partition i of other is exhaustive
-            // because matching rows share a key, hence a partition.
-            let parts = threads * 4;
-            let mut left: Vec<Vec<Vec<u32>>> = vec![Vec::new(); parts];
-            let mut right: Vec<Vec<Vec<u32>>> = vec![Vec::new(); parts];
-            {
-                let m = meter.clone();
-                for row in &self.rows {
-                    m.tick()?;
-                    let h = key_hash(plan.common.iter().map(|&(i, _)| row[i]));
-                    left[(h % parts as u64) as usize].push(row.clone());
-                }
-                for row in &other.rows {
-                    m.tick()?;
-                    let h = key_hash(plan.common.iter().map(|&(_, j)| row[j]));
-                    right[(h % parts as u64) as usize].push(row.clone());
-                }
-            }
-            (0..parts)
-                .into_par_iter()
-                .map(|p| {
-                    join_rows(
-                        &left[p],
-                        &right[p],
-                        &plan,
-                        OperatorKind::ParallelHashJoin,
-                        &mut meter.clone(),
-                    )
-                })
-                .collect()
-        };
-        let rows: Vec<Vec<u32>> = results?.into_iter().flatten().collect();
-        Ok(NamedRelation::new(plan.schema, rows))
-    }
-
-    /// Semijoin `self ⋉ other` under any [`Metering`] enforcer: one tick
+    /// Semijoin `self ⋉ other` under a [`Meter`]: one tick
     /// per input row scanned on either side, one tuple charged per
     /// surviving row — so a tuple cap bounds the peak size a reducer
     /// sweep can carry, and a deadline is observed *inside* large
     /// semijoins instead of only between them.
-    pub fn semijoin_metered<M: Metering>(
+    pub fn semijoin_metered(
         &self,
         other: &NamedRelation,
-        meter: &mut M,
+        meter: &mut Meter,
     ) -> Result<NamedRelation, ExhaustionReason> {
         let span = meter.tracer().span_start();
-        let emit = |meter: &mut M, out: u64, span| {
+        let emit = |meter: &mut Meter, out: u64, span| {
             meter.tracer().emit_with(|| TraceEvent::Operator {
                 op: OperatorKind::Semijoin,
                 left_rows: self.rows.len() as u64,
@@ -435,10 +330,10 @@ impl NamedRelation {
     ///
     /// Panics if an index key attribute is missing from `self`'s schema
     /// (callers handle the disjoint-schema case before indexing).
-    pub fn semijoin_with_index<M: Metering>(
+    pub fn semijoin_with_index(
         &self,
         index: &HashIndex,
-        meter: &mut M,
+        meter: &mut Meter,
     ) -> Result<NamedRelation, ExhaustionReason> {
         assert!(
             !index.key_attrs().is_empty(),
@@ -470,16 +365,6 @@ impl NamedRelation {
             schema: self.schema.clone(),
             rows,
         })
-    }
-
-    /// [`semijoin_metered`](Self::semijoin_metered) fixed to the
-    /// single-threaded [`Meter`].
-    pub fn semijoin_budgeted(
-        &self,
-        other: &NamedRelation,
-        meter: &mut Meter,
-    ) -> Result<NamedRelation, ExhaustionReason> {
-        self.semijoin_metered(other, meter)
     }
 
     /// Semijoin `self ⋉ other`: rows of `self` that join with at least
@@ -588,6 +473,15 @@ mod tests {
         let j = r.natural_join(&s);
         assert_eq!(j.len(), 2);
         assert_eq!(j.schema(), &[0, 1]);
+        // On larger inputs too: every pair, each row the concatenation.
+        let r = random_rel(&[0], 400, 50, 13);
+        let s = random_rel(&[1], 400, 50, 17);
+        let product: Vec<Vec<u32>> = r
+            .rows()
+            .iter()
+            .flat_map(|a| s.rows().iter().map(move |b| vec![a[0], b[0]]))
+            .collect();
+        assert_eq!(r.natural_join(&s), NamedRelation::new(vec![0, 1], product));
     }
 
     #[test]
@@ -668,57 +562,16 @@ mod tests {
         let r = random_rel(&[0, 1], 300, 20, 7);
         let s = random_rel(&[1, 2], 300, 20, 11);
         let mut meter = Budget::unlimited().meter();
-        let budgeted = r.natural_join_budgeted(&s, &mut meter).unwrap();
+        let budgeted = r.natural_join_metered(&s, &mut meter).unwrap();
         assert_eq!(budgeted, r.natural_join(&s));
-    }
-
-    #[test]
-    fn parallel_join_identical_to_sequential() {
-        let r = random_rel(&[0, 1], 600, 15, 3);
-        let s = random_rel(&[1, 2], 600, 15, 5);
-        let expected = r.natural_join(&s);
-        for threads in [2usize, 4, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let meter = Budget::unlimited().shared_meter();
-            let got = pool
-                .install(|| r.natural_join_parallel(&s, &meter))
-                .unwrap();
-            assert_eq!(got, expected, "mismatch at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn parallel_join_disjoint_schemas_matches_product() {
-        let r = random_rel(&[0], 400, 50, 13);
-        let s = random_rel(&[1], 400, 50, 17);
-        let expected = r.natural_join(&s);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let meter = Budget::unlimited().shared_meter();
-        let got = pool
-            .install(|| r.natural_join_parallel(&s, &meter))
-            .unwrap();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn parallel_join_observes_shared_tuple_cap() {
+        // A tuple cap trips mid-materialisation.
         let r = random_rel(&[0, 1], 800, 40, 19);
         let s = random_rel(&[1, 2], 800, 40, 23);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let meter = Budget::unlimited().with_tuple_limit(100).shared_meter();
-        let err = pool
-            .install(|| r.natural_join_parallel(&s, &meter))
-            .unwrap_err();
-        assert_eq!(err, ExhaustionReason::TupleLimitExceeded);
+        let mut capped = Budget::unlimited().with_tuple_limit(100).meter();
+        assert_eq!(
+            r.natural_join_metered(&s, &mut capped).unwrap_err(),
+            ExhaustionReason::TupleLimitExceeded
+        );
     }
 
     #[test]
@@ -753,11 +606,11 @@ mod tests {
         let r = random_rel(&[0, 1], 500, 5, 29);
         let s = random_rel(&[1, 2], 500, 5, 31);
         let mut meter = Budget::unlimited().meter();
-        assert_eq!(r.semijoin_budgeted(&s, &mut meter).unwrap(), r.semijoin(&s));
+        assert_eq!(r.semijoin_metered(&s, &mut meter).unwrap(), r.semijoin(&s));
         // With dense keys nearly every row survives; a tiny cap trips.
         let mut capped = Budget::unlimited().with_tuple_limit(10).meter();
         assert_eq!(
-            r.semijoin_budgeted(&s, &mut capped).unwrap_err(),
+            r.semijoin_metered(&s, &mut capped).unwrap_err(),
             ExhaustionReason::TupleLimitExceeded
         );
     }
@@ -769,12 +622,12 @@ mod tests {
         // charged as tuples, so a zero cap trips.
         let nonempty = rel(&[5], &[&[0]]);
         let mut meter = Budget::unlimited().meter();
-        assert_eq!(r.semijoin_budgeted(&nonempty, &mut meter).unwrap(), r);
+        assert_eq!(r.semijoin_metered(&nonempty, &mut meter).unwrap(), r);
         let empty = NamedRelation::empty(vec![5]);
-        assert!(r.semijoin_budgeted(&empty, &mut meter).unwrap().is_empty());
+        assert!(r.semijoin_metered(&empty, &mut meter).unwrap().is_empty());
         let mut capped = Budget::unlimited().with_tuple_limit(1).meter();
         assert_eq!(
-            r.semijoin_budgeted(&nonempty, &mut capped).unwrap_err(),
+            r.semijoin_metered(&nonempty, &mut capped).unwrap_err(),
             ExhaustionReason::TupleLimitExceeded
         );
     }

@@ -21,7 +21,7 @@
 //!   sweeps and the join pipeline share indexes on unchanged relations.
 
 use crate::named::NamedRelation;
-use cspdb_core::budget::{ExhaustionReason, Metering};
+use cspdb_core::budget::{ExhaustionReason, Meter};
 use cspdb_core::trace::TraceEvent;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -62,13 +62,7 @@ impl JoinOrder {
         self.steps.iter().map(|s| s.est_rows).max().unwrap_or(0)
     }
 
-    /// The [`TraceEvent::PlanChosen`] describing this plan, executed by
-    /// the default binary (left-deep hash join) engine.
-    pub fn trace_event(&self) -> TraceEvent {
-        self.trace_event_for("binary", "left-deep hash-join pipeline".into())
-    }
-
-    /// [`trace_event`](Self::trace_event) attributed to an explicit
+    /// The [`TraceEvent::PlanChosen`] describing this plan, attributed to
     /// `engine` with the cost/structure `reason` that selected it.
     pub fn trace_event_for(&self, engine: &'static str, reason: String) -> TraceEvent {
         TraceEvent::PlanChosen {
@@ -212,10 +206,10 @@ impl HashIndex {
     /// # Panics
     ///
     /// Panics if a key attribute is missing from the schema.
-    pub fn build<M: Metering>(
+    pub fn build(
         rel: &NamedRelation,
         key_attrs: &[u32],
-        meter: &mut M,
+        meter: &mut Meter,
     ) -> Result<HashIndex, ExhaustionReason> {
         let positions: Vec<usize> = key_attrs
             .iter()
@@ -294,13 +288,13 @@ impl IndexCache {
     /// # Errors
     ///
     /// Propagates meter exhaustion from the build.
-    pub fn get_or_build<M: Metering>(
+    pub fn get_or_build(
         &mut self,
         rel_id: usize,
         version: u64,
         rel: &NamedRelation,
         key_attrs: &[u32],
-        meter: &mut M,
+        meter: &mut Meter,
     ) -> Result<Arc<HashIndex>, ExhaustionReason> {
         if let Some(pos) = self
             .entries
@@ -376,7 +370,7 @@ mod tests {
         let plan = plan_join_order(&[a, b]);
         assert_eq!(plan.cross_products(), 1);
         assert!(plan.steps[1].cross_product);
-        let ev = plan.trace_event();
+        let ev = plan.trace_event_for("binary", "left-deep hash-join pipeline".into());
         assert_eq!(ev.kind(), "plan_chosen");
         assert!(ev.to_json().contains("\"cross_steps\":[1]"));
     }

@@ -31,7 +31,7 @@
 
 use crate::named::NamedRelation;
 use crate::planner::{plan_join_order, JoinOrder};
-use cspdb_core::budget::{ExhaustionReason, Metering};
+use cspdb_core::budget::{ExhaustionReason, Meter};
 use cspdb_core::trace::{OperatorKind, TraceEvent, Tracer};
 use cspdb_decomp::Hypergraph;
 use std::collections::HashMap;
@@ -249,10 +249,10 @@ struct TrieView {
 
 impl TrieView {
     /// Builds the view (one metered tick per row materialized).
-    fn build<M: Metering>(
+    fn build(
         rel: &NamedRelation,
         attr_order: &[u32],
-        meter: &mut M,
+        meter: &mut Meter,
     ) -> Result<TrieView, ExhaustionReason> {
         let level_of: HashMap<u32, usize> = attr_order
             .iter()
@@ -287,9 +287,9 @@ impl TrieView {
 
 /// [`wcoj_join_with_order`] under the heuristic
 /// [`global_attribute_order`].
-pub fn wcoj_join_metered<M: Metering>(
+pub fn wcoj_join_metered(
     relations: &[NamedRelation],
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<NamedRelation, ExhaustionReason> {
     let order = global_attribute_order(relations);
     wcoj_join_with_order(relations, &order, meter)
@@ -309,10 +309,10 @@ pub fn wcoj_join_metered<M: Metering>(
 /// # Panics
 ///
 /// Panics if `attr_order` misses an attribute used by some relation.
-pub fn wcoj_join_with_order<M: Metering>(
+pub fn wcoj_join_with_order(
     relations: &[NamedRelation],
     attr_order: &[u32],
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<NamedRelation, ExhaustionReason> {
     if relations.is_empty() {
         return Ok(NamedRelation::unit());
@@ -381,7 +381,7 @@ pub fn wcoj_join_with_order<M: Metering>(
 /// surviving value is bound and recursed one level deeper. `ranges` is
 /// restored before returning, so the caller's state survives.
 #[allow(clippy::too_many_arguments)]
-fn leapfrog<M: Metering>(
+fn leapfrog(
     views: &[TrieView],
     participants: &[Vec<usize>],
     level: usize,
@@ -389,7 +389,7 @@ fn leapfrog<M: Metering>(
     prefix: &mut Vec<u32>,
     matches: &mut [u64],
     out: &mut Vec<Vec<u32>>,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<(), ExhaustionReason> {
     if level == participants.len() {
         meter.charge_tuples(1)?;

@@ -16,11 +16,10 @@
 
 use crate::named::NamedRelation;
 use crate::planner::{common_attrs, IndexCache, INDEX_CACHE_CAPACITY};
-use cspdb_core::budget::{Budget, ExhaustionReason, Metering, SharedMeter};
+use cspdb_core::budget::{Budget, ExhaustionReason, Meter};
 use cspdb_core::trace::TraceEvent;
 use cspdb_core::{CspInstance, Structure};
 use cspdb_decomp::{Hypergraph, HypertreeDecomposition};
-use rayon::prelude::*;
 
 /// Error: the instance's hypergraph is not α-acyclic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,15 +68,12 @@ fn solve_along_forest(
         .expect("unlimited budget cannot exhaust")
 }
 
-/// Children lists, roots, and a parents-before-children order for a
-/// forest given as a parent array.
+/// Roots and a parents-before-children order for a forest given as a
+/// parent array.
 struct Forest {
-    children: Vec<Vec<usize>>,
     roots: Vec<usize>,
     /// DFS preorder: every parent precedes its children.
     order: Vec<usize>,
-    /// `depth[i]` = distance from `i` to its root.
-    depth: Vec<usize>,
 }
 
 impl Forest {
@@ -92,33 +88,24 @@ impl Forest {
             }
         }
         let mut order = Vec::with_capacity(m);
-        let mut depth = vec![0usize; m];
         let mut stack = roots.clone();
         while let Some(u) = stack.pop() {
             order.push(u);
-            for &c in &children[u] {
-                depth[c] = depth[u] + 1;
-                stack.push(c);
-            }
+            stack.extend(&children[u]);
         }
         debug_assert_eq!(order.len(), m, "parent array must be a forest");
-        Forest {
-            children,
-            roots,
-            order,
-            depth,
-        }
+        Forest { roots, order }
     }
 }
 
 /// Greedy witness assembly, top-down: after full reduction every tuple
 /// extends to a solution, so picking any row consistent with the parent
 /// works.
-fn assemble_witness<M: Metering>(
+fn assemble_witness(
     rels: &[NamedRelation],
     order: &[usize],
     num_vars: usize,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<Vec<u32>, ExhaustionReason> {
     let mut assignment: Vec<Option<u32>> = vec![None; num_vars];
     for &node in order {
@@ -155,11 +142,11 @@ fn assemble_witness<M: Metering>(
 /// entries), so in the top-down sweep all children of one parent probe
 /// a single shared index instead of each rebuilding the parent's key
 /// set — on a star join tree that is one build instead of one per leaf.
-fn solve_along_forest_metered<M: Metering>(
+fn solve_along_forest_metered(
     mut rels: Vec<NamedRelation>,
     parent: &[Option<usize>],
     num_vars: usize,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<Option<Vec<u32>>, ExhaustionReason> {
     debug_assert_eq!(parent.len(), rels.len());
     let forest = Forest::new(parent);
@@ -173,7 +160,7 @@ fn solve_along_forest_metered<M: Metering>(
                   cache: &mut IndexCache,
                   target: usize,
                   filter: usize,
-                  meter: &mut M|
+                  meter: &mut Meter|
      -> Result<(), ExhaustionReason> {
         let common = common_attrs(&rels[target], &rels[filter]);
         let reduced = if common.is_empty() {
@@ -236,114 +223,6 @@ fn solve_along_forest_metered<M: Metering>(
     )?))
 }
 
-/// Parallel full reducer under a thread-shared budget: each sweep is run
-/// level by level (by join-tree depth), and all semijoins within a level
-/// execute on [`rayon`] workers charging the one [`SharedMeter`].
-///
-/// Correctness: semijoin is a filter, so reducing a parent by its
-/// children is order-independent; bottom-up, the parents updated at one
-/// level are distinct and their children (one level deeper) are already
-/// final; top-down, the nodes updated at one level are distinct and read
-/// only their (already final) parents. Hence the result is identical to
-/// the sequential reducer.
-fn solve_along_forest_shared(
-    mut rels: Vec<NamedRelation>,
-    parent: &[Option<usize>],
-    num_vars: usize,
-    meter: &SharedMeter,
-) -> Result<Option<Vec<u32>>, ExhaustionReason> {
-    debug_assert_eq!(parent.len(), rels.len());
-    let forest = Forest::new(parent);
-    let max_depth = forest.depth.iter().copied().max().unwrap_or(0);
-    // Bottom-up: at each level (deepest first), every parent with
-    // children folds them in, in parallel across parents.
-    let mut semijoins = 0u64;
-    for level in (0..max_depth).rev() {
-        let parents: Vec<usize> = forest
-            .order
-            .iter()
-            .copied()
-            .filter(|&p| forest.depth[p] == level && !forest.children[p].is_empty())
-            .collect();
-        semijoins += parents
-            .iter()
-            .map(|&p| forest.children[p].len() as u64)
-            .sum::<u64>();
-        let rels_ref = &rels;
-        let forest_ref = &forest;
-        let reduced: Vec<(usize, NamedRelation)> = parents
-            .into_par_iter()
-            .map(move |p| {
-                let mut m = meter.clone();
-                m.tick()?;
-                let mut r = rels_ref[p].clone();
-                for &c in &forest_ref.children[p] {
-                    r = r.semijoin_metered(&rels_ref[c], &mut m)?;
-                }
-                Ok((p, r))
-            })
-            .collect::<Result<_, ExhaustionReason>>()?;
-        for (p, r) in reduced {
-            rels[p] = r;
-        }
-    }
-    meter.tracer().emit_with(|| TraceEvent::YannakakisSweep {
-        direction: "bottom_up",
-        semijoins,
-    });
-    if forest.roots.iter().any(|&r| rels[r].is_empty()) {
-        return Ok(None);
-    }
-    // Top-down: nodes at each level reduce against their parents, in
-    // parallel within the level.
-    let mut semijoins = 0u64;
-    for level in 1..=max_depth {
-        let nodes: Vec<usize> = forest
-            .order
-            .iter()
-            .copied()
-            .filter(|&n| forest.depth[n] == level)
-            .collect();
-        semijoins += nodes.len() as u64;
-        let rels_ref = &rels;
-        let reduced: Vec<(usize, NamedRelation)> = nodes
-            .into_par_iter()
-            .map(move |n| {
-                let mut m = meter.clone();
-                m.tick()?;
-                let p = parent[n].expect("depth > 0 implies a parent");
-                Ok((n, rels_ref[n].semijoin_metered(&rels_ref[p], &mut m)?))
-            })
-            .collect::<Result<_, ExhaustionReason>>()?;
-        let mut any_empty = false;
-        for (n, r) in reduced {
-            any_empty |= r.is_empty();
-            rels[n] = r;
-        }
-        if any_empty {
-            let done = semijoins;
-            meter.tracer().emit_with(|| TraceEvent::YannakakisSweep {
-                direction: "top_down",
-                semijoins: done,
-            });
-            return Ok(None);
-        }
-    }
-    meter.tracer().emit_with(|| TraceEvent::YannakakisSweep {
-        direction: "top_down",
-        semijoins,
-    });
-    if rels.iter().any(NamedRelation::is_empty) {
-        return Ok(None);
-    }
-    Ok(Some(assemble_witness(
-        &rels,
-        &forest.order,
-        num_vars,
-        &mut meter.clone(),
-    )?))
-}
-
 /// Yannakakis' algorithm: solves an α-acyclic CSP instance in polynomial
 /// time.
 ///
@@ -386,7 +265,7 @@ pub fn solve_acyclic_budgeted(
     solve_acyclic_metered(instance, &mut budget.meter())
 }
 
-/// [`solve_acyclic`] under any [`Metering`] enforcer: the caller keeps
+/// [`solve_acyclic`] under a [`Meter`]: the caller keeps
 /// the meter, so per-phase resource usage stays readable afterwards
 /// (the governed ladder's per-tier trace summaries rely on this).
 ///
@@ -394,9 +273,9 @@ pub fn solve_acyclic_budgeted(
 ///
 /// [`AcyclicSolveError::NotAcyclic`] if GYO fails,
 /// [`AcyclicSolveError::Exhausted`] if the budget ran out (inconclusive).
-pub fn solve_acyclic_metered<M: Metering>(
+pub fn solve_acyclic_metered(
     instance: &CspInstance,
-    meter: &mut M,
+    meter: &mut Meter,
 ) -> Result<Option<Vec<u32>>, AcyclicSolveError> {
     if instance.num_vars() > 0 && instance.num_values() == 0 {
         return Ok(None);
@@ -413,43 +292,6 @@ pub fn solve_acyclic_metered<M: Metering>(
     }
     let jt = hg.gyo().ok_or(AcyclicSolveError::NotAcyclic)?;
     let sol = solve_along_forest_metered(rels, &jt.parent, normalized.num_vars(), meter)
-        .map_err(AcyclicSolveError::Exhausted)?;
-    if let Some(ref s) = sol {
-        debug_assert!(instance.is_solution(s));
-    }
-    Ok(sol)
-}
-
-/// [`solve_acyclic`] with the full reducer parallelised per join-tree
-/// level under a thread-shared budget: all semijoins at one depth run on
-/// [`rayon`] workers charging the one [`SharedMeter`], so a step/tuple
-/// cap, deadline, or cancellation is enforced globally across workers.
-/// The verdict and witness are identical to [`solve_acyclic_budgeted`]'s.
-///
-/// # Errors
-///
-/// [`AcyclicSolveError::NotAcyclic`] if GYO fails,
-/// [`AcyclicSolveError::Exhausted`] if the shared budget ran out or was
-/// cancelled (inconclusive).
-pub fn solve_acyclic_shared(
-    instance: &CspInstance,
-    meter: &SharedMeter,
-) -> Result<Option<Vec<u32>>, AcyclicSolveError> {
-    if instance.num_vars() > 0 && instance.num_values() == 0 {
-        return Ok(None);
-    }
-    let normalized = instance.normalize_distinct().consolidate();
-    let rels: Vec<NamedRelation> = normalized
-        .constraints()
-        .iter()
-        .map(|c| NamedRelation::new(c.scope().to_vec(), c.relation().iter().map(|t| t.to_vec())))
-        .collect();
-    let mut hg = Hypergraph::new(normalized.num_vars());
-    for r in &rels {
-        hg.add_edge(r.schema().iter().copied());
-    }
-    let jt = hg.gyo().ok_or(AcyclicSolveError::NotAcyclic)?;
-    let sol = solve_along_forest_shared(rels, &jt.parent, normalized.num_vars(), meter)
         .map_err(AcyclicSolveError::Exhausted)?;
     if let Some(ref s) = sol {
         debug_assert!(instance.is_solution(s));
@@ -606,6 +448,10 @@ mod tests {
         }
         assert!(!is_acyclic_instance(&p));
         assert_eq!(solve_acyclic(&p), Err(NotAcyclic));
+        assert_eq!(
+            solve_acyclic_budgeted(&p, &Budget::unlimited()),
+            Err(AcyclicSolveError::NotAcyclic)
+        );
     }
 
     #[test]
@@ -745,67 +591,16 @@ mod tests {
             .unwrap()
             .expect("satisfiable");
         assert!(p.is_solution(&sol));
-    }
-
-    #[test]
-    fn shared_reducer_agrees_with_sequential() {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
+        // The metered reducer agrees with the unmetered one on stars of
+        // every shape, a one-value (unsatisfiable) star included.
         for (leaves, d) in [(5usize, 3usize), (8, 4), (3, 1)] {
             let p = wide_star(leaves, d);
-            let sequential = solve_acyclic(&p).unwrap();
-            let meter = Budget::unlimited().shared_meter();
-            let parallel = pool.install(|| solve_acyclic_shared(&p, &meter)).unwrap();
-            assert_eq!(parallel, sequential, "star({leaves},{d})");
+            let metered = solve_acyclic_budgeted(&p, &Budget::unlimited());
+            assert_eq!(
+                metered,
+                Ok(solve_acyclic(&p).unwrap()),
+                "star({leaves},{d})"
+            );
         }
-        // A cyclic instance is rejected identically.
-        let mut tri = CspInstance::new(3, 3);
-        let r = neq(3);
-        for (u, v) in [(0u32, 1u32), (1, 2), (0, 2)] {
-            tri.add_constraint([u, v], r.clone()).unwrap();
-        }
-        let meter = Budget::unlimited().shared_meter();
-        assert_eq!(
-            solve_acyclic_shared(&tri, &meter),
-            Err(AcyclicSolveError::NotAcyclic)
-        );
-    }
-
-    #[test]
-    fn shared_reducer_observes_tuple_cap() {
-        let p = wide_star(6, 60);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let meter = Budget::unlimited().with_tuple_limit(100).shared_meter();
-        assert_eq!(
-            pool.install(|| solve_acyclic_shared(&p, &meter)),
-            Err(AcyclicSolveError::Exhausted(
-                ExhaustionReason::TupleLimitExceeded
-            ))
-        );
-    }
-
-    #[test]
-    fn shared_reducer_deep_chain_agrees() {
-        // A path is a join tree of depth n-1: exercises the level loop.
-        let mut p = CspInstance::new(7, 2);
-        let r = neq(2);
-        for i in 0..6u32 {
-            p.add_constraint([i, i + 1], r.clone()).unwrap();
-        }
-        let sequential = solve_acyclic(&p).unwrap();
-        let meter = Budget::unlimited().shared_meter();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build()
-            .unwrap();
-        assert_eq!(
-            pool.install(|| solve_acyclic_shared(&p, &meter)).unwrap(),
-            sequential
-        );
     }
 }

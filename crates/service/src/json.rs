@@ -35,22 +35,9 @@ impl JsonValue {
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes `s` for embedding in a JSON string literal (the workspace's
+/// one escaper, [`cspdb_core::trace::json_escape`]).
+pub use cspdb_core::trace::json_escape as escape;
 
 /// Parses one flat JSON object (`{"key": value, ...}`) into a key→value
 /// map. Values may be strings, nonnegative integers, or booleans;

@@ -852,7 +852,11 @@ fn try_enqueue(
     let active = queue.by_conn.len() + usize::from(!queue.by_conn.contains_key(&conn));
     let fair_cap = (lane.depth / active.max(1)).max(1);
     if queue.by_conn.get(&conn).copied().unwrap_or(0) >= fair_cap {
-        inner.counters.fair_rejected.fetch_add(1, Ordering::Relaxed);
+        // A lone connection's share is the whole lane: at its cap the
+        // lane is simply full, which is not a fairness refusal.
+        if active > 1 {
+            inner.counters.fair_rejected.fetch_add(1, Ordering::Relaxed);
+        }
         drop(queue);
         return Err((request, tx, Refusal::Full));
     }

@@ -37,7 +37,7 @@ pub use search::{
     gac_fixpoint, gac_fixpoint_budgeted, Config, Outcome, Propagation, Search, Stats, VarOrder,
 };
 
-use cspdb_core::budget::{Answer, Budget, Metering, ResourceUsage, SharedMeter};
+use cspdb_core::budget::{Answer, Budget, Meter, ResourceUsage};
 use cspdb_core::{CoreError, CspInstance, PartialHom, Structure};
 use std::ops::ControlFlow;
 
@@ -57,7 +57,7 @@ pub struct BudgetedRun {
     pub usage: ResourceUsage,
 }
 
-fn run_metered<M: Metering>(p: &Problem, config: Config, meter: M) -> BudgetedRun {
+fn run_metered(p: &Problem, config: Config, meter: Meter) -> BudgetedRun {
     let mut search = Search::with_meter(p, config, meter);
     let mut found = None;
     let outcome = search.run(None, |sol| {
@@ -106,47 +106,19 @@ pub fn solve_csp_budgeted_with(
     run_budgeted(&Problem::from_csp(instance), config, budget)
 }
 
-/// Solves a CSP instance charging an arbitrary [`Metering`] enforcer.
+/// Solves a CSP instance charging the caller's [`Meter`].
 ///
 /// The caller keeps the meter, so the run's resource usage (and the
 /// tracer carried by the meter) stays observable afterwards — the
 /// `Solver` facade's per-phase trace summaries are built on this.
-pub fn solve_csp_metered<M: Metering>(instance: &CspInstance, meter: M) -> BudgetedRun {
+pub fn solve_csp_metered(instance: &CspInstance, meter: Meter) -> BudgetedRun {
     run_metered(&Problem::from_csp(instance), Config::default(), meter)
 }
 
-/// [`find_homomorphism_budgeted`] charging an arbitrary [`Metering`]
-/// enforcer (see [`solve_csp_metered`]).
-pub fn find_homomorphism_metered<M: Metering>(
-    a: &Structure,
-    b: &Structure,
-    meter: M,
-) -> BudgetedRun {
+/// [`find_homomorphism_budgeted`] charging the caller's [`Meter`] (see
+/// [`solve_csp_metered`]).
+pub fn find_homomorphism_metered(a: &Structure, b: &Structure, meter: Meter) -> BudgetedRun {
     run_metered(&Problem::from_structures(a, b), Config::default(), meter)
-}
-
-/// Solves a CSP instance charging a thread-shared [`SharedMeter`]:
-/// several solver runs (or other algorithms) holding clones of the same
-/// meter draw on one global step/tuple/deadline budget, and any of them
-/// tripping — or the meter's [`cspdb_core::budget::CancelToken`] firing —
-/// stops this search at its next checkpoint with
-/// [`Answer::Unknown`].
-pub fn solve_csp_shared(instance: &CspInstance, meter: &SharedMeter) -> BudgetedRun {
-    run_metered(
-        &Problem::from_csp(instance),
-        Config::default(),
-        meter.clone(),
-    )
-}
-
-/// [`find_homomorphism_budgeted`] charging a thread-shared
-/// [`SharedMeter`] (see [`solve_csp_shared`]).
-pub fn find_homomorphism_shared(a: &Structure, b: &Structure, meter: &SharedMeter) -> BudgetedRun {
-    run_metered(
-        &Problem::from_structures(a, b),
-        Config::default(),
-        meter.clone(),
-    )
 }
 
 /// Finds a homomorphism `A -> B` with the default configuration

@@ -8,7 +8,7 @@
 
 use std::ops::ControlFlow;
 
-use cspdb_core::budget::{Budget, ExhaustionReason, Meter, Metering, ResourceUsage};
+use cspdb_core::budget::{Budget, ExhaustionReason, Meter, ResourceUsage};
 use cspdb_core::trace::TraceEvent;
 
 use crate::domain::DomainSet;
@@ -113,15 +113,12 @@ pub fn gac_fixpoint_budgeted(
     }
 }
 
-/// A configured search over a [`Problem`], generic over the budget
-/// enforcer: [`Meter`] (the default) for single-threaded runs,
-/// [`cspdb_core::budget::SharedMeter`] when several searches race under
-/// one thread-shared budget.
-pub struct Search<'p, M: Metering = Meter> {
+/// A configured search over a [`Problem`], charging one [`Meter`].
+pub struct Search<'p> {
     problem: &'p Problem,
     config: Config,
     stats: Stats,
-    meter: M,
+    meter: Meter,
 }
 
 impl<'p> Search<'p> {
@@ -137,13 +134,10 @@ impl<'p> Search<'p> {
     pub fn with_budget(problem: &'p Problem, config: Config, budget: &Budget) -> Self {
         Search::with_meter(problem, config, budget.meter())
     }
-}
 
-impl<'p, M: Metering> Search<'p, M> {
-    /// Creates a search charging an arbitrary [`Metering`] enforcer —
-    /// pass a clone of a [`cspdb_core::budget::SharedMeter`] to race
-    /// this search against others under one budget.
-    pub fn with_meter(problem: &'p Problem, config: Config, meter: M) -> Self {
+    /// Creates a search charging the caller's [`Meter`], so its usage
+    /// and tracer stay readable through [`usage`](Self::usage).
+    pub fn with_meter(problem: &'p Problem, config: Config, meter: Meter) -> Self {
         Search {
             problem,
             config,

@@ -8,7 +8,7 @@ use constraint_db::core::budget::{Budget, CancelToken};
 use constraint_db::core::trace::{Recorder, TraceEvent};
 use constraint_db::core::{FaultPlan, FaultSite};
 use constraint_db::service::{
-    Outcome, Request, RequestBody, Response, Server, ServerConfig, ShutdownMode,
+    Outcome, Rejection, Request, RequestBody, Response, Server, ServerConfig, ShutdownMode,
 };
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -595,4 +595,70 @@ fn wire_protocol_roundtrip() {
     assert!(responses[1]
         .to_json()
         .contains(r#""cached":false,"answers":[[0,2]]"#));
+}
+
+/// `fair_rejected` counts only refusals that fairness caused. A lone
+/// connection that overfills the heavy lane is refused because the lane
+/// is full; once a second connection has queued work, the first one's
+/// share is half the lane and a refusal at that share is a fairness one.
+#[test]
+fn fair_rejected_counts_only_competing_connections() {
+    // Pins the heavy worker on a first request from `conns[0]`, queues
+    // one request per entry of `conns`, then offers one more from
+    // `conns[0]`. Returns whether it was refused as overloaded and the
+    // stats at that moment; the gate opens before anything is asserted,
+    // so a failing assertion cannot leave a worker parked.
+    let run = |conns: &[usize]| {
+        let gate = Arc::new(Gate::default());
+        let hook_gate = gate.clone();
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            heavy_workers: 1,
+            heavy_queue_depth: 4,
+            exec_hook: Some(Arc::new(move |_req| hook_gate.hold())),
+            ..ServerConfig::default()
+        });
+        let ids: Vec<u64> = (0..2).map(|_| server.open_connection()).collect();
+        let contain = |id| {
+            req(
+                id,
+                RequestBody::Contain {
+                    q1: "Q(X) :- E(X,Y)".into(),
+                    q2: "Q(X) :- E(X,Y), E(X,Z)".into(),
+                },
+            )
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let first = server.submit_from(contain(0), tx.clone(), ids[0]);
+        gate.await_arrivals(1);
+        let queued: Vec<_> = (1..)
+            .zip(conns)
+            .map(|(id, &c)| server.submit_from(contain(id), tx.clone(), ids[c]))
+            .collect();
+        let extra = server.submit_from(contain(99), tx.clone(), ids[0]);
+        let stats = server.stats();
+        gate.release();
+        server.shutdown(ShutdownMode::Drain);
+        assert!(first.is_ok() && queued.iter().all(Result::is_ok));
+        assert_eq!(rx.try_iter().count(), 1 + conns.len());
+        (matches!(extra, Err(Rejection::Overloaded { .. })), stats)
+    };
+
+    // One connection fills all four slots: its next request is refused
+    // because the lane is full, which is not a fairness refusal.
+    let (refused, stats) = run(&[0, 0, 0, 0]);
+    assert!(refused);
+    assert_eq!(
+        stats.fair_rejected, 0,
+        "a lone connection competes with nobody"
+    );
+    assert!(stats.rejected > 0);
+
+    // Two connections: the first holds two slots, the second one, so the
+    // first one's share is 4 / 2 = 2 and its next request is refused by
+    // fairness while the lane still has a free slot.
+    let (refused, stats) = run(&[0, 0, 1]);
+    assert!(refused);
+    assert_eq!(stats.fair_rejected, 1);
+    assert_eq!(stats.rejected, 1);
 }

@@ -126,17 +126,17 @@ proptest! {
     }
 }
 
-/// The same accounting invariant holds on the shared-meter parallel
-/// Yannakakis path, where operator events come from worker partitions.
+/// The same accounting invariant on a star join tree, where every leaf
+/// probes one shared index of the centre in the top-down sweep.
 #[test]
-fn operator_cardinalities_equal_shared_tuples() {
+fn operator_cardinalities_equal_metered_tuples_on_star() {
     use constraint_db::core::graphs::{clique, undirected};
     let star = undirected(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]);
     let p = CspInstance::from_homomorphism(&star, &clique(3)).unwrap();
     let rec = Arc::new(Recorder::new());
     let budget = Budget::unlimited().with_trace(rec.clone());
-    let meter = budget.shared_meter();
-    let result = constraint_db::relalg::solve_acyclic_shared(&p, &meter);
+    let mut meter = budget.meter();
+    let result = solve_acyclic_metered(&p, &mut meter);
     assert!(result.expect("acyclic").is_some(), "star is 3-colorable");
     let recorded: u64 = rec
         .events()
